@@ -243,8 +243,7 @@ BM_JsqPickPacked(benchmark::State &state)
 {
     // The packed per-request decision (runtime/dispatch_view.h), pick +
     // bump. Arg is the worker count: at 16 the lengths are exactly one
-    // line and the adaptive pick takes the single-pass scan; at 64 it
-    // takes the SIMD horizontal min + movemask tie walk.
+    // line; at 64 the single-pass scan spans four.
     const size_t n = static_cast<size_t>(state.range(0));
     runtime::DispatchView view(n);
     for (size_t i = 0; i < n; ++i) {

@@ -17,8 +17,7 @@
  *    then per-request scans over a dispatcher-local vector view;
  *  - packed: the current dispatcher_main() path — the batched shape,
  *    with the per-request scan replaced by DispatchView's packed
- *    uint32 lanes and adaptive pick (one-line scan at <= 16 workers,
- *    SIMD horizontal min above; dispatch_view.h).
+ *    uint32 lanes and single-pass pick (dispatch_view.h).
  *
  * Requests are staged into the RX queue in untimed rounds so all modes
  * measure dispatch work against a backlogged RX — the regime where
@@ -218,7 +217,7 @@ packed_ns_per_job(int workers)
                     i_w, runtime::WorkerStatsReader::read_current_quanta(
                              c.lines[i_w]));
             }
-            // Per-request work: SIMD pick + saturating bump, local only.
+            // Per-request work: packed pick + saturating bump, local only.
             for (size_t j = 0; j < n; ++j) {
                 batch[j].arrival_cycles = arrived;
                 const int best = view.pick_jsq_msq();
@@ -239,9 +238,8 @@ int
 main()
 {
     bench::banner("Section 6",
-                  "dispatcher per-job cost, scalar vs batched vs packed-"
-                  TQ_DISPATCH_VIEW_SIMD
-                  " hot path (batch=32, backlogged RX), and implied Mrps");
+                  "dispatcher per-job cost, scalar vs batched vs packed "
+                  "hot path (batch=32, backlogged RX), and implied Mrps");
 
     // Warm the clock calibration before timing.
     cycles_per_ns();

@@ -10,7 +10,8 @@
  *    the best point (lowest short-class p999 slowdown, non-saturated)
  *    is the baseline per-class quanta must beat.
  *  - Per-class static: hand-picked class quanta (shorts complete in one
- *    slice, longs are sliced fine) with the deficit/starvation mirror.
+ *    slice, longs are sliced fine) with the deficit clamp and starvation
+ *    guard.
  *  - Adaptive: the runtime's QuantumController iterated over simulation
  *    rounds — each round runs the cluster with the controller's current
  *    quanta and feeds back per-class completions / mean service / p99

@@ -35,8 +35,8 @@ struct SystemOptions
     /**
      * When non-empty, an extra TQ variant with per-class quanta
      * (TwoLevelConfig::class_quantum, one entry per workload class, ns)
-     * plus the deficit/starvation mirror runs alongside the fixed-
-     * quantum TQ and prints as `TQPC_<class>` columns (DESIGN.md §4i).
+     * plus the deficit clamp and starvation guard runs alongside the
+     * fixed-quantum TQ and prints as `TQPC_<class>` columns (DESIGN.md §4i).
      */
     std::vector<SimNanos> tq_class_quantum;
     SimNanos tq_deficit_clamp = us(8);

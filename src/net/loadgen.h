@@ -118,7 +118,8 @@ struct ClientStats
     const ClientClassStats &by_class(const std::string &name) const;
 };
 
-/** Abstract server interface so baselines can reuse the generator. */
+/** Abstract server interface: anything that accepts requests and
+ *  returns responses can be driven by the generator. */
 class Server
 {
   public:

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/run_queue.h"
+
 namespace tq::runtime {
 
 /** Dispatcher load-balancing policy (paper sections 3.2, 5.4). */
@@ -20,15 +22,9 @@ enum class DispatchPolicy {
     PowerOfTwo,  ///< least-loaded of two random workers
 };
 
-/** Per-worker quantum scheduling policy. */
-enum class WorkPolicy {
-    ProcessorSharing, ///< forced multitasking in `quantum_us` slices
-    Fcfs,             ///< run to completion (probes never fire)
-    Las,              ///< least-attained-service first: resume the task
-                      ///< with the fewest serviced quanta (dynamic
-                      ///< policies are possible because probes decide
-                      ///< yields at run time, paper section 3.1)
-};
+/** Per-worker quantum scheduling policy; one enum shared with the
+ *  simulator's cores (common/run_queue.h). */
+using WorkPolicy = ::tq::WorkPolicy;
 
 /** Runtime configuration. */
 struct RuntimeConfig
@@ -46,7 +42,8 @@ struct RuntimeConfig
      * quantum_us / the last slot), the worker resolves the budget with
      * one table load at admission, and deficit accounting plus the
      * starvation guard below engage. Ignored under WorkPolicy::Fcfs,
-     * where probes never fire. Mirrors sim TwoLevelConfig::class_quantum.
+     * where probes never fire. The sim's TwoLevelConfig::class_quantum
+     * drives the same per-core ledger (common/run_queue.h).
      */
     std::vector<double> class_quantum_us;
 

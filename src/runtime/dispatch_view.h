@@ -1,27 +1,21 @@
 /**
  * @file
- * Packed dispatcher-local JSQ/MSQ view with a SIMD pick (paper s. 4).
+ * Packed dispatcher-local JSQ/MSQ view (paper s. 4).
  *
  * The dispatcher's per-job decision used to scan a vector<uint64_t> of
  * queue lengths plus a parallel vector<uint32_t> of quanta — two
  * allocations, 8 bytes per worker for values that are small by
  * construction. This view packs both into contiguous, cache-line-aligned
  * `uint32_t` arrays so 16 workers' lengths fit in one line. The pick is
- * adaptive: one-line views (<= 16 workers, the paper's configuration)
- * take a single-pass scan with the tie-break folded into the comparison
- * — measured fastest at that width — while multi-line views use a SIMD
- * horizontal min (SSE2 on x86-64, NEON on aarch64) with a movemask tie
- * walk; a portable scalar path doubles as the property-test reference
- * (tests/layout_test.cc). A tournament tree was benched as the third
- * alternative: it loses at one-line width and only wins from ~64 lanes,
- * so it stays bench-local — see docs/cache_line_analysis.md §"Picking
- * the pick" and BENCH_dispatch.json for the numbers.
+ * a single-pass scan at every width; the two-pass loop it replaced is
+ * the property-test oracle (tests/layout_test.cc). SIMD and tournament
+ * alternatives: docs/cache_line_analysis.md §"Picking the pick".
  *
- * Semantics are bit-identical to the scalar scan it replaces:
+ * Semantics are bit-identical to the two-pass loop:
  *  - lengths are clamped into [0, kLenMax]; real queue depth is bounded
  *    by ring_capacity + tasks_per_worker (default < 2^15), so the clamp
  *    is unreachable in practice and exists to make the uint32 narrowing
- *    and the signed SSE2 compares safe by construction;
+ *    safe by construction;
  *  - JSQ-MSQ tie-break: minimum length, then maximum current-quanta,
  *    then lowest worker index (DESIGN.md §4c);
  *  - JSQ-random consumes the RNG identically to the old loop (one
@@ -43,32 +37,17 @@
 #include "common/check.h"
 #include "conc/cacheline.h"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#define TQ_DISPATCH_VIEW_SIMD "sse2"
-#elif defined(__aarch64__)
-#include <arm_neon.h>
-#define TQ_DISPATCH_VIEW_SIMD "neon"
-#else
-#define TQ_DISPATCH_VIEW_SIMD "scalar"
-#endif
-
 namespace tq::runtime {
 
 /** Packed per-shard JSQ/MSQ state for one dispatcher. */
 class DispatchView
 {
   public:
-    /**
-     * Saturation bound for stored queue lengths (INT32_MAX). Keeping
-     * every lane non-negative as a *signed* 32-bit value lets the SSE2
-     * path use `_mm_cmpgt_epi32` (there is no unsigned compare before
-     * SSE4.1) with exact unsigned semantics.
-     */
+    /** Saturation bound for stored queue lengths (INT32_MAX). */
     static constexpr uint32_t kLenMax = 0x7fffffffu;
 
     /** uint32 lanes per cache line; arrays are padded to a multiple so
-     *  vector loads never touch unowned memory. */
+     *  each view owns whole lines. */
     static constexpr size_t kLanesPerLine = kCacheLineSize / sizeof(uint32_t);
 
     /** @param workers number of workers (>= 1) this view ranks. */
@@ -126,25 +105,10 @@ class DispatchView
     uint32_t
     min_len() const
     {
-#if defined(__SSE2__)
-        const __m128i *v =
-            reinterpret_cast<const __m128i *>(len_.get());
-        __m128i acc = _mm_load_si128(v);
-        for (size_t i = 1; i < padded_ / 4; ++i)
-            acc = min_u32x4(acc, _mm_load_si128(v + i));
-        acc = min_u32x4(acc,
-                        _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-        acc = min_u32x4(acc,
-                        _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-        return static_cast<uint32_t>(_mm_cvtsi128_si32(acc));
-#elif defined(__aarch64__)
-        uint32x4_t acc = vld1q_u32(len_.get());
-        for (size_t i = 1; i < padded_ / 4; ++i)
-            acc = vminq_u32(acc, vld1q_u32(len_.get() + 4 * i));
-        return vminvq_u32(acc);
-#else
-        return min_len_scalar();
-#endif
+        uint32_t best = kLenMax;
+        for (size_t i = 0; i < n_; ++i)
+            best = len_[i] < best ? len_[i] : best;
+        return best;
     }
 
     /**
@@ -153,70 +117,34 @@ class DispatchView
      * (it should finish them soonest, paper s. 3.2); among remaining
      * ties the lowest index. Does not mutate the view — callers bump
      * the winner via bump_len().
+     *
+     * One pass with the tie-break folded into the comparison: strictly
+     * smaller length wins; equal length and strictly larger quanta
+     * wins; otherwise the incumbent (lower index) stays. Equivalent to
+     * the two-pass oracle by induction over the scan prefix.
      */
     int
     pick_jsq_msq() const
     {
-        // One-line views (<= 16 workers, the common deployment and the
-        // paper's configuration) take a single-pass branchy scan: at
-        // this width a well-predicted scalar loop over one cache line
-        // beats every vector formulation we benched (two-pass
-        // min+movemask, three-pass branch-free, tournament tree) because
-        // the dispatcher's pick stream is highly repetitive and the
-        // horizontal reductions cost more than the 16 predicted
-        // compares they replace. See docs/cache_line_analysis.md
-        // §"Picking the pick" and BENCH_dispatch.json.
-        if (padded_ <= kLanesPerLine)
-            return pick_jsq_msq_scan(n_);
-        const uint32_t best_len = min_len();
-        int best = -1;
-        uint32_t best_quanta = 0;
-#if defined(__SSE2__)
-        // Tie scan: vector-compare four lanes at a time against the min
-        // and walk only the matching bits. movemask bit order is lane
-        // order, so ties are visited in ascending worker index and the
-        // scalar tie-break below is reproduced exactly.
-        const __m128i target = _mm_set1_epi32(static_cast<int>(best_len));
-        const __m128i *v =
-            reinterpret_cast<const __m128i *>(len_.get());
-        for (size_t base = 0; base < padded_; base += 4) {
-            int mask = _mm_movemask_ps(_mm_castsi128_ps(
-                _mm_cmpeq_epi32(_mm_load_si128(v + base / 4), target)));
-            while (mask != 0) {
-                const size_t i =
-                    base + static_cast<size_t>(__builtin_ctz(
-                               static_cast<unsigned>(mask)));
-                mask &= mask - 1;
-                if (i >= n_)
-                    break; // padding lanes (only tie when saturated)
-                const uint32_t q = quanta_[i];
-                if (best < 0 || q > best_quanta) {
-                    best = static_cast<int>(i);
-                    best_quanta = q;
-                }
-            }
-        }
-        return best;
-#else
-        for (size_t i = 0; i < n_; ++i) {
-            if (len_[i] != best_len)
-                continue;
+        int best = 0;
+        uint32_t best_len = len_[0];
+        uint32_t best_quanta = quanta_[0];
+        for (size_t i = 1; i < n_; ++i) {
+            const uint32_t l = len_[i];
             const uint32_t q = quanta_[i];
-            if (best < 0 || q > best_quanta) {
+            if (l < best_len || (l == best_len && q > best_quanta)) {
                 best = static_cast<int>(i);
+                best_len = l;
                 best_quanta = q;
             }
         }
         return best;
-#endif
     }
 
     /**
      * JSQ pick with uniform-random tie-breaking. Consumes @p rng exactly
-     * like the scalar loop it replaced — one `below(++tie_count)` per
-     * tied worker in ascending index order — so seeded runs reproduce
-     * across the scalar/SIMD boundary (only min_len() vectorizes; the
-     * reservoir is inherently sequential in its RNG stream).
+     * like the loop it replaced — one `below(++tie_count)` per tied
+     * worker in ascending index order — so seeded runs reproduce.
      */
     template <typename RngT>
     int
@@ -231,22 +159,12 @@ class DispatchView
         return best;
     }
 
-    /** Portable reference for min_len(); the property-test oracle. */
-    uint32_t
-    min_len_scalar() const
-    {
-        uint32_t best = kLenMax;
-        for (size_t i = 0; i < n_; ++i)
-            best = len_[i] < best ? len_[i] : best;
-        return best;
-    }
-
-    /** Portable reference for pick_jsq_msq(); the property-test oracle
-     *  (the pre-SIMD dispatcher loop, verbatim). */
+    /** Two-pass reference for pick_jsq_msq(); the property-test oracle
+     *  (the original dispatcher loop, verbatim). */
     int
     pick_jsq_msq_scalar() const
     {
-        const uint32_t best_len = min_len_scalar();
+        const uint32_t best_len = min_len();
         int best = -1;
         uint32_t best_quanta = 0;
         for (size_t i = 0; i < n_; ++i) {
@@ -262,43 +180,6 @@ class DispatchView
     }
 
   private:
-    /**
-     * Single-pass argmin over the first @p count lanes with the JSQ-MSQ
-     * tie-break folded into the comparison: strictly-smaller length
-     * wins; equal length and strictly-larger quanta wins; otherwise the
-     * incumbent (lower index) stays. Equivalent to the two-pass oracle
-     * by induction over the scan prefix.
-     */
-    int
-    pick_jsq_msq_scan(size_t count) const
-    {
-        int best = 0;
-        uint32_t best_len = len_[0];
-        uint32_t best_quanta = quanta_[0];
-        for (size_t i = 1; i < count; ++i) {
-            const uint32_t l = len_[i];
-            const uint32_t q = quanta_[i];
-            if (l < best_len || (l == best_len && q > best_quanta)) {
-                best = static_cast<int>(i);
-                best_len = l;
-                best_quanta = q;
-            }
-        }
-        return best;
-    }
-
-#if defined(__SSE2__)
-    /** Unsigned 32-bit lane min via a signed compare-and-blend; exact
-     *  because every lane is <= kLenMax (sign bit clear). */
-    static __m128i
-    min_u32x4(__m128i a, __m128i b)
-    {
-        const __m128i a_gt = _mm_cmpgt_epi32(a, b);
-        return _mm_or_si128(_mm_and_si128(a_gt, b),
-                            _mm_andnot_si128(a_gt, a));
-    }
-#endif
-
     struct LaneFree
     {
         void
@@ -309,8 +190,8 @@ class DispatchView
     };
     using Lanes = std::unique_ptr<uint32_t[], LaneFree>;
 
-    /** Line-aligned lane array: vector loads may be aligned loads and a
-     *  16-worker view's lengths occupy exactly one line. */
+    /** Line-aligned lane array: a 16-worker view's lengths occupy
+     *  exactly one line. */
     static Lanes
     alloc_lanes(size_t count)
     {

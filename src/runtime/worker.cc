@@ -26,16 +26,18 @@ Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
       // FCFS never arms probes, so per-class budgets cannot apply: the
       // table is dropped and the fixed path runs (DESIGN.md §4i).
       quanta_table_(cfg.work == WorkPolicy::Fcfs ? nullptr : quanta),
-      per_class_(quanta_table_ != nullptr),
-      deficit_clamp_cycles_(ns_to_cycles(cfg.deficit_clamp_us * 1e3)),
       dispatch_ring_(cfg.ring_capacity),
-      tx_ring_(cfg.ring_capacity)
+      tx_ring_(cfg.ring_capacity),
+      runq_(cfg.work)
 {
     TQ_CHECK(cfg_.tasks_per_worker > 0);
     TQ_CHECK(handler_);
     TQ_CHECK(lc_ != nullptr);
-    if (cfg_.work == WorkPolicy::Las)
-        las_heap_.reserve(static_cast<size_t>(cfg_.tasks_per_worker));
+    if (quanta_table_ != nullptr)
+        ledger_.emplace(
+            kMaxQuantumClasses,
+            static_cast<int64_t>(ns_to_cycles(cfg.deficit_clamp_us * 1e3)),
+            cfg.starvation_promote_after);
     for (int t = 0; t < cfg_.tasks_per_worker; ++t) {
         auto task = std::make_unique<Task>();
         Task *raw = task.get();
@@ -79,7 +81,7 @@ Worker::poll_admissions()
             task->started = false;
             task->job_done = false;
             task->has_job = true;
-            if (per_class_) {
+            if (ledger_) {
                 // Quantum resolution point (DESIGN.md §4i): one relaxed
                 // table load per job, here at admission. Every later
                 // probe/yield decision compares against the Task's
@@ -89,17 +91,11 @@ Worker::poll_admissions()
                     ClassQuantumTable::slot_of(pending[i].job_class);
                 task->cls = static_cast<uint8_t>(slot);
                 task->budget_cycles = quanta_table_->load(slot);
-                ++class_sched_[static_cast<size_t>(slot)].runnable;
+                ledger_->admit(slot);
             } else {
                 task->budget_cycles = quantum_cycles_;
             }
-            if (cfg_.work == WorkPolicy::Las) {
-                las_heap_.push_back(task);
-                std::push_heap(las_heap_.begin(), las_heap_.end(),
-                               LasAfter{});
-            } else {
-                busy_.push_back(task);
-            }
+            runq_.push(task);
             busy_count_.fetch_add(1, std::memory_order_relaxed);
 #if defined(TQ_TELEMETRY_ENABLED)
             telem_->counters.admitted.fetch_add(1,
@@ -114,75 +110,19 @@ Worker::poll_admissions()
 Worker::Task *
 Worker::select_task()
 {
-    if (per_class_ && cfg_.starvation_promote_after != 0) {
+    if (ledger_) {
         // Starvation guard (DESIGN.md §4i): a class passed over for
         // starvation_promote_after consecutive grants while runnable is
         // force-promoted ahead of the policy order. The scan is eight
         // worker-private loads; the extract below is the cold path.
-        int starved = -1;
-        uint32_t worst = 0;
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            const ClassSched &cs = class_sched_[static_cast<size_t>(c)];
-            if (cs.runnable != 0 &&
-                cs.skipped >= cfg_.starvation_promote_after &&
-                cs.skipped > worst) {
-                worst = cs.skipped;
-                starved = c;
-            }
-        }
-        if (starved >= 0) {
-            Task *task = extract_promoted(starved);
-            if (task != nullptr) {
-                starvation_promotions_.fetch_add(
-                    1, std::memory_order_relaxed);
-                return task;
-            }
-        }
-    }
-    if (cfg_.work == WorkPolicy::Las) {
-        // Least-attained-service: resume the task that has consumed the
-        // fewest quanta, FIFO among equals — O(log n) heap selection in
-        // place of the old O(n) scan + mid-vector erase.
-        std::pop_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        Task *task = las_heap_.back();
-        las_heap_.pop_back();
-        return task;
-    }
-    Task *task = busy_.front();
-    busy_.pop_front();
-    return task;
-}
-
-Worker::Task *
-Worker::extract_promoted(int cls)
-{
-    if (cfg_.work == WorkPolicy::Las) {
-        // The class's best task under the LAS order (fewest quanta,
-        // FIFO among equals), extracted by scan + re-heapify: O(n) over
-        // at most tasks_per_worker entries, on a rare path.
-        size_t best = las_heap_.size();
-        for (size_t i = 0; i < las_heap_.size(); ++i) {
-            if (las_heap_[i]->cls != cls)
-                continue;
-            if (best == las_heap_.size() ||
-                LasAfter{}(las_heap_[best], las_heap_[i]))
-                best = i;
-        }
-        if (best == las_heap_.size())
-            return nullptr; // defensive: runnable count said otherwise
-        Task *task = las_heap_[best];
-        las_heap_.erase(las_heap_.begin() + static_cast<ptrdiff_t>(best));
-        std::make_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        return task;
-    }
-    for (auto it = busy_.begin(); it != busy_.end(); ++it) {
-        if ((*it)->cls == cls) {
-            Task *task = *it;
-            busy_.erase(it);
+        const int starved = ledger_->starved();
+        Task *task = nullptr;
+        if (starved >= 0 && runq_.extract_class(starved, task)) {
+            starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
             return task;
         }
     }
-    return nullptr;
+    return runq_.pop();
 }
 
 void
@@ -198,13 +138,15 @@ Worker::run_one_slice()
         [](void *coro) { static_cast<Coroutine *>(coro)->yield(); },
         task->coro.get());
     // Budget for this grant: the admission-resolved quantum, deficit-
-    // adjusted in per-class mode. On the fixed path budget_cycles is
+    // adjusted in per-class mode (the grant also ages the other
+    // classes' starvation clocks). On the fixed path budget_cycles is
     // exactly quantum_cycles_, so the armed deadline is unchanged.
     Cycles budget = task->budget_cycles;
-    if (per_class_)
-        budget = effective_budget(
-            task->budget_cycles,
-            class_sched_[static_cast<size_t>(task->cls)].deficit);
+    if (ledger_) {
+        budget = ledger_->grant(task->cls, task->budget_cycles);
+        ++tally_[task->cls].grants;
+        tally_[task->cls].cycles += budget;
+    }
 #if defined(TQ_TELEMETRY_ENABLED)
     bind_telemetry(telem_, task->req.id);
     const Cycles slice_start = rdcycles();
@@ -216,7 +158,7 @@ Worker::run_one_slice()
     telem_->counters.quanta.fetch_add(1, std::memory_order_relaxed);
     telem_->trace.record(telemetry::EventKind::QuantumStart, task->req.id,
                          task->quanta);
-    if (per_class_) {
+    if (ledger_) {
         telem_->class_grants[task->cls].fetch_add(
             1, std::memory_order_relaxed);
         telem_->class_granted_cycles[task->cls].fetch_add(
@@ -227,7 +169,7 @@ Worker::run_one_slice()
     // the slice duration in every build, but only in per-class mode —
     // the fixed path stays free of extra rdcycles() reads.
     Cycles slice_start = 0;
-    if (per_class_)
+    if (ledger_)
         slice_start = rdcycles();
 #endif
     if (cfg_.work == WorkPolicy::Fcfs)
@@ -247,51 +189,30 @@ Worker::run_one_slice()
     }
 #else
     Cycles slice = 0;
-    if (per_class_)
+    if (ledger_)
         slice = rdcycles() - slice_start;
 #endif
-    if (per_class_) {
-        // Deficit settlement: bank granted-minus-used. A class that
-        // completes inside its budget accrues credit (its next grants
-        // run a little longer); one whose probes overrun the deadline
-        // goes into debt and pays the overshoot back. The clamp bounds
-        // both directions (DESIGN.md §4i invariants).
-        ClassSched &cs = class_sched_[static_cast<size_t>(task->cls)];
-        ++cs.grants;
-        cs.granted_cycles += budget;
-        const int64_t clamp = static_cast<int64_t>(deficit_clamp_cycles_);
-        const int64_t settled = cs.deficit + static_cast<int64_t>(budget) -
-                                static_cast<int64_t>(slice);
-        cs.deficit = std::clamp(settled, -clamp, clamp);
+    if (ledger_) {
+        // Deficit settlement: a class that completes inside its budget
+        // accrues credit (its next grants run a little longer); one
+        // whose probes overrun the deadline goes into debt and pays the
+        // overshoot back (DESIGN.md §4i invariants).
+        ledger_->settle(task->cls, budget, slice);
 #if defined(TQ_TELEMETRY_ENABLED)
-        telem_->class_deficit[task->cls].store(cs.deficit,
-                                               std::memory_order_relaxed);
+        telem_->class_deficit[task->cls].store(
+            ledger_->account(task->cls).deficit, std::memory_order_relaxed);
 #endif
-        // Starvation bookkeeping: this class was served; every other
-        // class with runnable tasks was passed over once more.
-        for (int c = 0; c < kMaxQuantumClasses; ++c) {
-            ClassSched &other = class_sched_[static_cast<size_t>(c)];
-            if (c == task->cls)
-                other.skipped = 0;
-            else if (other.runnable != 0)
-                ++other.skipped;
-        }
     }
 
     if (task->job_done) {
         complete(task);
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
-        // the PS ring, or heap reinsert with the bumped quanta for LAS.
+        // the PS ring, or LAS reinsert with the bumped quanta.
         ++task->quanta;
         stats_.current_quanta.fetch_add(1, std::memory_order_relaxed);
         stats_.total_quanta.fetch_add(1, std::memory_order_relaxed);
-        if (cfg_.work == WorkPolicy::Las) {
-            las_heap_.push_back(task);
-            std::push_heap(las_heap_.begin(), las_heap_.end(), LasAfter{});
-        } else {
-            busy_.push_back(task);
-        }
+        runq_.push(task);
     }
 }
 
@@ -338,13 +259,13 @@ Worker::complete(Task *task)
     stats_.finished.fetch_add(1, std::memory_order_relaxed);
     stats_.current_quanta.fetch_sub(task->quanta,
                                     std::memory_order_relaxed);
-    if (per_class_)
-        --class_sched_[static_cast<size_t>(task->cls)].runnable;
+    if (ledger_)
+        ledger_->retire(task->cls);
 #if defined(TQ_TELEMETRY_ENABLED)
     telem_->counters.finished.fetch_add(1, std::memory_order_relaxed);
     telem_->service_cycles.add(task->service_cycles);
     telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
-    if (per_class_) {
+    if (ledger_) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
         telem_->class_finished[task->cls].fetch_add(
@@ -364,17 +285,13 @@ Worker::abandon_remaining()
     // Clear the run queue so a second sweep only sees what arrived
     // since — the tasks' coroutines are suspended mid-job and are never
     // resumed again; tasks_ still owns them for destruction.
-    const size_t queued = busy_.size() + las_heap_.size();
+    const size_t queued = runq_.size();
     uint64_t abandoned = static_cast<uint64_t>(queued);
     busy_count_.fetch_sub(queued, std::memory_order_relaxed);
-    if (per_class_) {
-        for (const Task *t : busy_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-        for (const Task *t : las_heap_)
-            --class_sched_[static_cast<size_t>(t->cls)].runnable;
-    }
-    busy_.clear();
-    las_heap_.clear();
+    runq_.clear([this](Task *task) {
+        if (ledger_)
+            ledger_->retire(task->cls);
+    });
     while (dispatch_ring_.pop())
         ++abandoned;
     if (abandoned != 0)
@@ -391,7 +308,7 @@ Worker::run()
         if (phase >= Lifecycle::Stopping)
             break;
         poll_admissions();
-        if (!ready_empty()) {
+        if (!runq_.empty()) {
             empty_polls = 0;
             run_one_slice();
             continue;

@@ -12,10 +12,11 @@
  * back to the scheduler.
  *
  * Admissions drain the dispatch ring in batches (SpscRing::pop_n — one
- * shared-index acquire/release pair per batch). Run-queue selection is
- * PS: ring rotation; FCFS: front of queue; LAS: an O(log n) binary
- * min-heap keyed on (quanta, admit_seq), FIFO among equal-quanta tasks
- * — the same order the previous O(n) scan produced.
+ * shared-index acquire/release pair per batch). Run-queue selection and
+ * the per-class ledger are the per-core scheduling core shared with the
+ * simulator (common/run_queue.h): PS rotates a FIFO ring, FCFS runs its
+ * front to completion, LAS pops the (quanta, admit_seq) minimum — the
+ * fewest serviced quanta, FIFO among equals.
  *
  * The loop is lifecycle-aware (runtime/lifecycle.h): in Draining it
  * finishes admitted jobs and exits once the dispatcher is done and the
@@ -27,11 +28,12 @@
 #define TQ_RUNTIME_WORKER_H
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "common/run_queue.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "runtime/config.h"
@@ -144,9 +146,9 @@ class Worker
     {
         int64_t deficit = 0;          ///< banked cycles, clamped to
                                       ///< +-deficit_clamp (DESIGN.md §4i)
-        uint32_t skipped = 0;         ///< consecutive grants that went to
+        uint64_t skipped = 0;         ///< consecutive grants that went to
                                       ///< other classes while runnable
-        uint32_t runnable = 0;        ///< tasks of this class in the runq
+        uint32_t runnable = 0;        ///< admitted, unfinished tasks
         uint64_t grants = 0;          ///< slices granted
         uint64_t granted_cycles = 0;  ///< sum of armed budgets (effective-
                                       ///< quantum parity with the sim)
@@ -154,11 +156,15 @@ class Worker
 
     /** Class @p slot's account. Zeros on the fixed-quantum path. Safe
      *  only from the worker thread or after it has been joined. */
-    const ClassSched &
+    ClassSched
     class_sched(int slot) const
     {
-        return class_sched_[static_cast<size_t>(
-            ClassQuantumTable::slot_of(slot))];
+        if (!ledger_)
+            return {};
+        const int s = ClassQuantumTable::slot_of(slot);
+        const auto &a = ledger_->account(s);
+        const GrantTally &t = tally_[static_cast<size_t>(s)];
+        return {a.deficit, a.skipped, a.runnable, t.grants, t.cycles};
     }
 
   private:
@@ -181,24 +187,25 @@ class Worker
         std::unique_ptr<Coroutine> coro; ///< persistent task coroutine
     };
 
-    /**
-     * Min-heap order over (quanta, admit_seq) for std::push_heap (which
-     * builds a max-heap, so the comparator is reversed): the task with
-     * the fewest serviced quanta wins, FIFO among equals by admission
-     * sequence. This reproduces the old O(n) scan's selection exactly
-     * (the scan picked the earliest-queued minimum, which by induction
-     * is the earliest-admitted one) at O(log n) per selection with no
-     * mid-vector erase.
-     */
-    struct LasAfter
+    /** LAS order over (quanta, admit_seq): the fewest serviced quanta
+     *  first, admission order among equals. Neither field changes while
+     *  the task is queued. */
+    struct TaskOrder
     {
-        bool
-        operator()(const Task *a, const Task *b) const
+        static bool
+        before(const Task *a, const Task *b)
         {
-            if (a->quanta != b->quanta)
-                return a->quanta > b->quanta;
-            return a->admit_seq > b->admit_seq;
+            return a->quanta < b->quanta ||
+                   (a->quanta == b->quanta && a->admit_seq < b->admit_seq);
         }
+        static int cls(const Task *t) { return t->cls; }
+    };
+
+    /** Grants per class, for class_sched(); per-class mode only. */
+    struct GrantTally
+    {
+        uint64_t grants = 0;
+        Cycles cycles = 0;
     };
 
     /** Admission batch: enough to refill every default task slot in one
@@ -214,30 +221,6 @@ class Worker
      *  task when the starvation guard fires (per-class mode only). */
     Task *select_task();
 
-    /** Extract class @p cls's best task from the run queue: the LAS
-     *  minimum of that class, or the PS front-most. Cold path — only
-     *  reached when the guard fires after starvation_promote_after
-     *  consecutive skipped grants. */
-    Task *extract_promoted(int cls);
-
-    /** Effective budget at grant time: quantum + clamped deficit,
-     *  floored at quantum/4 so a debt-laden class still progresses. */
-    Cycles
-    effective_budget(Cycles base, int64_t deficit) const
-    {
-        const int64_t budget = static_cast<int64_t>(base) + deficit;
-        const int64_t floor = static_cast<int64_t>(base / 4) + 1;
-        return static_cast<Cycles>(budget > floor ? budget : floor);
-    }
-
-    /** Admitted-but-unfinished tasks under the active work policy. */
-    bool
-    ready_empty() const
-    {
-        return cfg_.work == WorkPolicy::Las ? las_heap_.empty()
-                                            : busy_.empty();
-    }
-
     int id_;
     const RuntimeConfig cfg_;
     Handler handler_;
@@ -245,14 +228,14 @@ class Worker
     const LifecycleControl *lc_;
     Cycles quantum_cycles_;
 
-    /** Per-class scheduling (DESIGN.md §4i). per_class_ is false on the
-     *  fixed path (no table, or FCFS where probes never fire): then no
-     *  member below is ever touched and run_one_slice() arms the same
-     *  quantum_cycles_ budget as before the table existed. */
+    /** Per-class scheduling (DESIGN.md §4i). The table and ledger are
+     *  unset, and tally_ untouched, on the fixed path (no table, or
+     *  FCFS where probes never fire): then run_one_slice() arms the
+     *  same quantum_cycles_ budget as before the table existed and
+     *  reads the clock no extra time. */
     const ClassQuantumTable *quanta_table_;
-    bool per_class_;
-    Cycles deficit_clamp_cycles_ = 0;
-    ClassSched class_sched_[kMaxQuantumClasses] = {};
+    std::optional<ClassLedger<Cycles, int64_t>> ledger_;
+    GrantTally tally_[kMaxQuantumClasses] = {};
 
     SpscRing<Request> dispatch_ring_;
     SpscRing<Response> tx_ring_;
@@ -260,11 +243,9 @@ class Worker
 
     std::vector<std::unique_ptr<Task>> tasks_;
     std::vector<Task *> idle_;
-    /** PS/FCFS run queue: plain ring rotation (pop front, push back). */
-    std::deque<Task *> busy_;
-    /** LAS run queue: binary min-heap on (quanta, admit_seq). Only one
-     *  of busy_ / las_heap_ is populated, per cfg_.work. */
-    std::vector<Task *> las_heap_;
+    /** Admitted, unfinished, not running: FIFO ring (PS/FCFS) or the
+     *  (quanta, admit_seq) min-heap (LAS). */
+    RunQueue<Task *, TaskOrder> runq_;
     uint64_t admit_seq_next_ = 0;
     std::atomic<size_t> busy_count_{0};
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/run_queue.h"
 #include "common/shard.h"
 #include "sim/event_core.h"
 
@@ -17,10 +19,40 @@ constexpr uint32_t kNone = ~0u;
 
 enum EventKind : uint32_t { kArrival, kDispatchDone, kCoreDone, kFrontDone };
 
+/** Per-class account of one core, in simulated nanoseconds. */
+using Ledger = ClassLedger<SimNanos, SimNanos>;
+
+/** A queued unit with its class and LAS key. */
+struct Queued
+{
+    uint32_t unit;
+    int cls;
+    double attained; ///< service received; fixed while queued
+    uint64_t seq;    ///< the core's push count
+};
+
+/** LAS order on (attained ns, push count): the queue only appends, so
+ *  the push-order minimum is the first strict minimum a scan in queue
+ *  order would find. */
+struct QueuedOrder
+{
+    static bool
+    before(const Queued &a, const Queued &b)
+    {
+        return a.attained < b.attained ||
+               (!(b.attained < a.attained) && a.seq < b.seq);
+    }
+    static int cls(const Queued &q) { return q.cls; }
+};
+
 /** Per-core scheduler state. */
 struct Core
 {
-    std::deque<uint32_t> runq;   ///< admitted, not currently running
+    explicit Core(CorePolicy policy) : runq(policy) {}
+
+    /** Admitted, not currently running. */
+    RunQueue<Queued, QueuedOrder> runq;
+    uint64_t pushes = 0;         ///< LAS tie sequence
     uint32_t running = kNone;
     SimNanos slice = 0;          ///< service granted to `running`
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
@@ -32,12 +64,9 @@ struct Core
     uint64_t grants = 0;
     SimNanos granted = 0;        ///< budget granted to `running` (the
                                  ///< deficit charges granted - used)
-    // Per-class scheduler mirror (DESIGN.md §4i), sized only when the
-    // deficit/starvation knobs are active — empty otherwise so the
-    // default path touches none of it.
-    std::vector<SimNanos> deficit;  ///< banked credit, ±deficit_clamp
-    std::vector<uint64_t> skipped;  ///< consecutive grants passed over
-    std::vector<uint32_t> runnable; ///< admitted units per class
+    /** Per-class ledger (DESIGN.md §4i): present only with a per-class
+     *  quantum table on slicing cores, like the runtime worker's. */
+    std::optional<Ledger> ledger;
 };
 
 struct Dispatcher
@@ -56,7 +85,6 @@ class TwoLevelSim
           core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
                 cfg.stop_when_saturated, cfg.warmup),
           fanout_(static_cast<uint32_t>(cfg.fanout)),
-          cores_(static_cast<size_t>(cfg.num_cores)),
           assigned_(static_cast<size_t>(cfg.num_cores), 0),
           snap_finished_(static_cast<size_t>(cfg.num_cores), 0),
           snap_quanta_(static_cast<size_t>(cfg.num_cores), 0)
@@ -79,19 +107,17 @@ class TwoLevelSim
         num_classes_ = dist.class_names().size();
         class_grant_intervals_.resize(num_classes_, 0);
         class_grants_.resize(num_classes_, 0);
-        // The deficit/starvation mirror needs a per-class quantum table
-        // to mirror, exactly like the runtime (a fixed-quantum worker
-        // has no per-class state), and FCFS cores never slice.
-        per_class_sched_ = !cfg_.class_quantum.empty() &&
-                           cfg_.core_policy != CorePolicy::Fcfs &&
-                           (cfg_.deficit_clamp > 0 ||
-                            cfg_.starvation_promote_after > 0);
-        if (per_class_sched_)
-            for (auto &core : cores_) {
-                core.deficit.resize(num_classes_, 0);
-                core.skipped.resize(num_classes_, 0);
-                core.runnable.resize(num_classes_, 0);
-            }
+        // Per-class state exists where the runtime has it: a per-class
+        // quantum table on cores that slice (FCFS never does).
+        const bool per_class = !cfg_.class_quantum.empty() &&
+                               cfg_.core_policy != CorePolicy::Fcfs;
+        cores_.reserve(static_cast<size_t>(cfg.num_cores));
+        for (int c = 0; c < cfg.num_cores; ++c) {
+            Core &core = cores_.emplace_back(cfg.core_policy);
+            if (per_class)
+                core.ledger.emplace(num_classes_, cfg_.deficit_clamp,
+                                    cfg_.starvation_promote_after);
+        }
     }
 
     SimResult
@@ -294,12 +320,12 @@ class TwoLevelSim
 
         const int target = pick_core(d);
         Core &core = cores_[static_cast<size_t>(target)];
-        core.runq.push_back(unit);
+        enqueue(core, unit);
         ++core.jobs;
         ++assigned_[static_cast<size_t>(target)];
         core.quanta_sum += quanta_of(unit); // 0 for fresh units
-        if (per_class_sched_)
-            ++core.runnable[class_of(unit)];
+        if (core.ledger)
+            core.ledger->admit(class_of(unit));
         if (core.running == kNone)
             start_slice(target);
 
@@ -421,53 +447,20 @@ class TwoLevelSim
         return cfg_.quantum;
     }
 
-    size_t
+    int
     class_of(uint32_t unit)
     {
-        return static_cast<size_t>(job(idx_of(unit)).job_class);
+        return job(idx_of(unit)).job_class;
     }
 
-    /**
-     * Starvation guard (mirror of Worker::select_task): pick the most-
-     * starved runnable class at or past the promotion threshold and
-     * extract its least-attained unit (PS: first of class, matching the
-     * runtime's front-of-deque scan). Returns false when no class
-     * qualifies and the normal PS/LAS pick should run.
-     */
-    bool
-    promote_starved(Core &core)
+    /** Append @p unit to @p core's run queue; LAS keys it on its
+     *  attained service, which stays fixed while it waits. */
+    void
+    enqueue(Core &core, uint32_t unit)
     {
-        if (cfg_.starvation_promote_after == 0)
-            return false;
-        size_t cls = num_classes_;
-        uint64_t worst = cfg_.starvation_promote_after - 1;
-        for (size_t k = 0; k < num_classes_; ++k)
-            if (core.runnable[k] != 0 && core.skipped[k] > worst) {
-                worst = core.skipped[k];
-                cls = k;
-            }
-        if (cls == num_classes_)
-            return false;
-        size_t best = core.runq.size();
-        double best_attained = 0;
-        for (size_t i = 0; i < core.runq.size(); ++i) {
-            if (class_of(core.runq[i]) != cls)
-                continue;
-            if (cfg_.core_policy != CorePolicy::Las) {
-                best = i; // PS: first admitted unit of the class
-                break;
-            }
-            const double a = attained(core.runq[i]);
-            if (best == core.runq.size() || a < best_attained) {
-                best_attained = a;
-                best = i;
-            }
-        }
-        TQ_CHECK(best < core.runq.size()); // runnable[cls] != 0
-        core.running = core.runq[best];
-        core.runq.erase(core.runq.begin() + static_cast<ptrdiff_t>(best));
-        ++starvation_promotions_;
-        return true;
+        const double key =
+            cfg_.core_policy == CorePolicy::Las ? attained(unit) : 0;
+        core.runq.push(Queued{unit, class_of(unit), key, core.pushes++});
     }
 
     void
@@ -477,37 +470,23 @@ class TwoLevelSim
         TQ_CHECK(core.running == kNone);
         if (core.runq.empty())
             return;
-        if (per_class_sched_ && promote_starved(core)) {
-            // fall through to the budget computation with `running` set
-        } else if (cfg_.core_policy == CorePolicy::Las) {
-            // Least-attained-service first: serve the job that has
-            // received the least service so far (FIFO among equals).
-            size_t best = 0;
-            double best_attained = attained(core.runq[0]);
-            for (size_t i = 1; i < core.runq.size(); ++i) {
-                const double a = attained(core.runq[i]);
-                if (a < best_attained) {
-                    best_attained = a;
-                    best = i;
-                }
-            }
-            core.running = core.runq[best];
-            core.runq.erase(core.runq.begin() +
-                            static_cast<ptrdiff_t>(best));
+        // Starvation guard first (a passed-over class's best unit),
+        // else the policy order.
+        const int starved = core.ledger ? core.ledger->starved() : -1;
+        Queued next{};
+        if (starved >= 0) {
+            const bool found = core.runq.extract_class(starved, next);
+            TQ_CHECK(found); // the class is runnable and not running
+            ++starvation_promotions_;
         } else {
-            core.running = core.runq.front();
-            core.runq.pop_front();
+            next = core.runq.pop();
         }
-        const Job &j = job(idx_of(core.running));
+        core.running = next.unit;
+        const int cls = next.cls;
         const SimNanos remaining = remaining_of(core.running);
-        SimNanos budget = quantum_for(j);
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Effective budget = base + banked deficit, floored at a
-            // quarter-quantum so a deeply indebted class still makes
-            // progress (Worker::effective_budget).
-            const size_t cls = class_of(core.running);
-            budget = std::max(budget / 4, budget + core.deficit[cls]);
-        }
+        SimNanos budget = quantum_for(job(idx_of(core.running)));
+        if (core.ledger)
+            budget = core.ledger->grant(cls, budget);
         const SimNanos slice = cfg_.core_policy == CorePolicy::Fcfs
                                    ? remaining
                                    : std::min(budget, remaining);
@@ -520,20 +499,8 @@ class TwoLevelSim
         core.grant_intervals += slice;
         ++core.grants;
         if (num_classes_ != 0) {
-            const size_t cls = class_of(core.running);
-            class_grant_intervals_[cls] += slice;
-            ++class_grants_[cls];
-        }
-        if (per_class_sched_) {
-            // One grant elapsed: the granted class's starvation clock
-            // resets, every other runnable class ages one step.
-            const size_t cls = class_of(core.running);
-            for (size_t k = 0; k < num_classes_; ++k) {
-                if (k == cls)
-                    core.skipped[k] = 0;
-                else if (core.runnable[k] != 0)
-                    ++core.skipped[k];
-            }
+            class_grant_intervals_[static_cast<size_t>(cls)] += slice;
+            ++class_grants_[static_cast<size_t>(cls)];
         }
         core_.schedule(core_.now() + busy, kCoreDone, c);
     }
@@ -547,14 +514,8 @@ class TwoLevelSim
         double &remaining = remaining_of(unit);
         remaining -= core.slice;
 
-        if (per_class_sched_ && cfg_.deficit_clamp > 0) {
-            // Granted minus used, clamped: early completers bank credit
-            // toward their class's next grant (Worker::run_one_slice).
-            const size_t cls = class_of(unit);
-            core.deficit[cls] = std::clamp(
-                core.deficit[cls] + core.granted - core.slice,
-                -cfg_.deficit_clamp, cfg_.deficit_clamp);
-        }
+        if (core.ledger)
+            core.ledger->settle(class_of(unit), core.granted, core.slice);
 
         if (remaining <= 1e-9) {
             // Unit done: at fanout 1 the response leaves directly from
@@ -563,8 +524,8 @@ class TwoLevelSim
             --core.jobs;
             ++core.finished;
             core.quanta_sum -= quanta_of(unit);
-            if (per_class_sched_)
-                --core.runnable[class_of(unit)];
+            if (core.ledger)
+                core.ledger->retire(class_of(unit));
             if (fanout_ == 1) {
                 core_.complete(unit, core_.now() +
                                          cfg_.overheads.response_cost);
@@ -580,7 +541,7 @@ class TwoLevelSim
             else
                 ++shard_quanta_[unit];
             ++core.quanta_sum;
-            core.runq.push_back(unit); // PS: back of the round-robin queue
+            enqueue(core, unit); // PS: back of the round-robin queue
         }
         start_slice(c);
     }
@@ -609,9 +570,8 @@ class TwoLevelSim
     SimNanos last_refresh_ = -1;
     std::vector<int> ties_;
 
-    // Per-class scheduler mirror (DESIGN.md §4i).
+    // Per-class grant statistics (SimResult::class_effective_quantum).
     size_t num_classes_ = 0;
-    bool per_class_sched_ = false;
     std::vector<double> class_grant_intervals_;
     std::vector<uint64_t> class_grants_;
     uint64_t starvation_promotions_ = 0;

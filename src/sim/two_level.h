@@ -8,7 +8,9 @@
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
  * uniform random, or power-of-two choices. Each worker core schedules
  * its admitted jobs with processor sharing in `quantum`-sized slices
- * (switch_overhead charged per preemption) or FCFS run-to-completion.
+ * (switch_overhead charged per preemption), least-attained-service
+ * first, or FCFS run-to-completion — through the same run queue and
+ * per-class ledger as the runtime's workers (common/run_queue.h).
  * Responses leave directly from the worker (response_cost), matching the
  * paper's datapath.
  *
@@ -23,6 +25,7 @@
 
 #include "common/arrival.h"
 #include "common/dist.h"
+#include "common/run_queue.h"
 #include "sim/metrics.h"
 #include "sim/overheads.h"
 
@@ -36,14 +39,9 @@ enum class LbPolicy {
     PowerOfTwo,  ///< least-loaded of two random cores
 };
 
-/** Per-core quantum scheduling policies. */
-enum class CorePolicy {
-    ProcessorSharing, ///< round-robin quanta over admitted jobs
-    Fcfs,             ///< run to completion in arrival order
-    Las,              ///< least-attained-service first (the dynamic-
-                      ///< quantum policy class TQ's probes support,
-                      ///< paper section 3.1)
-};
+/** Per-core quantum scheduling policies; one enum shared with the
+ *  runtime's workers (common/run_queue.h). */
+using CorePolicy = ::tq::WorkPolicy;
 
 /** Configuration of one two-level simulation run. */
 struct TwoLevelConfig
@@ -72,32 +70,19 @@ struct TwoLevelConfig
 
     /**
      * Per-class quantum override (TQ-TIMING variant): when non-empty,
-     * class c is scheduled with class_quantum[c] instead of `quantum`,
-     * emulating inaccurate preemption timing — and, with the knobs
-     * below, mirroring the runtime's per-class scheduler
-     * (runtime/quantum.h, DESIGN.md §4i).
+     * class c is scheduled with class_quantum[c] instead of `quantum`.
+     * Unless cores are FCFS, each core then also keeps the runtime
+     * worker's per-class ledger (common/run_queue.h, DESIGN.md §4i),
+     * driven by the two knobs below (0 disables each).
      */
     std::vector<SimNanos> class_quantum;
 
-    /**
-     * Deficit accounting mirror of the runtime worker (DESIGN.md §4i):
-     * when > 0 (and class_quantum is set, and cores are not FCFS) each
-     * core keeps a per-class deficit — granted minus used per slice,
-     * clamped to ±deficit_clamp ns — and grants class c an effective
-     * budget of max(base/4, base + deficit[c]). In the simulator slices
-     * never overrun (there is no probe latency), so the deficit only
-     * banks early-completion credit; it still exercises the same
-     * clamp/floor arithmetic the runtime uses. 0 (the default) keeps
-     * the TQ-TIMING model byte-identical to the historical simulator.
-     */
+    /** Per-class deficit clamp in ns. Sim slices never overrun, so the
+     *  deficit only banks early-completion credit. */
     SimNanos deficit_clamp = 0;
 
-    /**
-     * Starvation guard mirror (runtime knob of the same name): after a
-     * runnable class has been passed over for this many consecutive
-     * grants on a core, its least-attained unit is force-promoted ahead
-     * of the normal PS/LAS pick. 0 (default) disables the guard.
-     */
+    /** Starvation guard: skipped grants before a runnable class's best
+     *  unit is promoted ahead of the policy order. */
     uint64_t starvation_promote_after = 0;
 
     /**

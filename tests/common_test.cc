@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for tq_common: RNG, distributions, percentiles, histograms,
- * unit conversions, and the cycle clock.
+ * unit conversions, the cycle clock, and the per-core scheduling core
+ * (run queue + per-class ledger) shared by the runtime and the sim.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/arrival.h"
@@ -16,6 +18,7 @@
 #include "common/histogram.h"
 #include "common/percentile.h"
 #include "common/rng.h"
+#include "common/run_queue.h"
 #include "common/shard.h"
 #include "common/units.h"
 #include "common/zipf.h"
@@ -536,6 +539,273 @@ TEST(PickMinRotated, RotationRoundRobinsTiedShards)
     for (uint64_t k = 0; k < 64; ++k)
         EXPECT_EQ(pick_min_rotated(idle, 4, k),
                   static_cast<int>(k % 4));
+}
+
+// ---------------------------------------------------------------------
+// Per-core scheduling core (common/run_queue.h).
+// ---------------------------------------------------------------------
+
+/** A queued test job: id, class and LAS (key, seq), all stored. */
+template <typename Key>
+struct Item
+{
+    int id;
+    int cls;
+    Key key;
+    uint64_t seq;
+};
+
+template <typename Key>
+struct ItemOrder
+{
+    static bool
+    before(const Item<Key> &a, const Item<Key> &b)
+    {
+        return a.key < b.key || (!(b.key < a.key) && a.seq < b.seq);
+    }
+    static int cls(const Item<Key> &x) { return x.cls; }
+};
+
+template <typename Key>
+using ItemQueue = RunQueue<Item<Key>, ItemOrder<Key>>;
+
+template <typename Q>
+std::vector<int>
+drain_all(Q &q)
+{
+    std::vector<int> out;
+    while (!q.empty())
+        out.push_back(q.pop().id);
+    return out;
+}
+
+TEST(RunQueue, FifoForPsAndFcfsKeySeqForLas)
+{
+    for (WorkPolicy p : {WorkPolicy::ProcessorSharing, WorkPolicy::Fcfs}) {
+        ItemQueue<uint32_t> q(p); // keys and sequences are ignored
+        q.push({10, 0, 9, 5});
+        q.push({11, 1, 0, 4});
+        EXPECT_EQ(q.pop().id, 10);
+        q.push({10, 0, 1, 6}); // a preempted job rejoins at the tail
+        EXPECT_EQ(drain_all(q), (std::vector<int>{11, 10}));
+    }
+    ItemQueue<uint32_t> las(WorkPolicy::Las);
+    for (auto [item, key, seq] : {std::tuple{1, 2u, 0}, {2, 0u, 3},
+                                  {3, 0u, 1}, {4, 1u, 2}, {5, 0u, 7}})
+        las.push({item, 0, key, static_cast<uint64_t>(seq)});
+    EXPECT_EQ(las.size(), 5u);
+    EXPECT_EQ(drain_all(las), (std::vector<int>{3, 2, 5, 4, 1}));
+    // The sim's floating keys: equal keys fall back to the sequence.
+    ItemQueue<double> d(WorkPolicy::Las);
+    for (auto [item, key] : {std::pair{1, 250.5}, {2, 0.0}, {3, 250.5},
+                             {4, 0.0}})
+        d.push({item, 0, key, static_cast<uint64_t>(item)});
+    EXPECT_EQ(drain_all(d), (std::vector<int>{2, 4, 1, 3}));
+}
+
+TEST(RunQueue, ExtractClassTakesTheClassBestAndClearVisitsAll)
+{
+    for (WorkPolicy p : {WorkPolicy::ProcessorSharing, WorkPolicy::Las}) {
+        ItemQueue<uint32_t> q(p);
+        const uint32_t keys[] = {0, 3, 1, 2, 1};
+        for (int i = 0; i < 5; ++i)
+            q.push({i + 1, i == 0 || i == 3 ? 0 : 1, keys[i],
+                    static_cast<uint64_t>(i)});
+        Item<uint32_t> out{-1, -1, 0, 0};
+        EXPECT_FALSE(q.extract_class(2, out));
+        ASSERT_TRUE(q.extract_class(1, out));
+        // PS: the class's first queued entry; LAS: its (key, seq) min.
+        EXPECT_EQ(out.id, p == WorkPolicy::Las ? 3 : 2);
+        int sum = 0, class1 = 0;
+        q.clear([&](const Item<uint32_t> &item) {
+            sum += item.id;
+            class1 += item.cls;
+        });
+        EXPECT_EQ(sum, 15 - out.id);
+        EXPECT_EQ(class1, 2);
+        EXPECT_TRUE(q.empty());
+    }
+}
+
+TEST(ClassLedger, DeficitIsClampedAndTheBudgetFloored)
+{
+    ClassLedger<uint64_t, int64_t> l(2, /*clamp=*/8, /*promote_after=*/0);
+    l.admit(0);
+    EXPECT_EQ(l.grant(0, 20), 20u);
+    l.settle(0, 20, 15); // early finish banks credit
+    EXPECT_EQ(l.grant(0, 20), 25u);
+    l.settle(0, 25, 10);
+    EXPECT_EQ(l.account(0).deficit, 8) << "credit clamps at +clamp";
+    EXPECT_EQ(l.grant(0, 20), 28u);
+    l.settle(0, 28, 100); // overrun goes into debt
+    EXPECT_EQ(l.account(0).deficit, -8) << "debt clamps at -clamp";
+    EXPECT_EQ(l.grant(0, 20), 12u);
+    EXPECT_EQ(l.grant(0, 8), 3u) << "floor base/4 + 1 binds";
+    EXPECT_EQ(l.grant(0, 0), 1u) << "every grant makes progress";
+    EXPECT_EQ(l.account(1).deficit, 0) << "accounts are per class";
+
+    ClassLedger<double, double> zero(1, 0.0, 0);
+    zero.admit(0);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(zero.grant(0, 500.0), 500.0) << "a 0 clamp keeps base";
+        zero.settle(0, 500.0, 120.0);
+    }
+}
+
+TEST(ClassLedger, RunnableClassesAgeAndTheWorstIsPromoted)
+{
+    ClassLedger<uint64_t, int64_t> l(4, 0, /*promote_after=*/3);
+    for (int c : {0, 1, 2})
+        l.admit(c);
+    for (int i = 0; i < 2; ++i)
+        l.grant(0, 10);
+    EXPECT_EQ(l.account(1).skipped, 2u);
+    EXPECT_EQ(l.account(3).skipped, 0u) << "class 3 is not runnable";
+    EXPECT_EQ(l.starved(), -1) << "below the threshold";
+    l.grant(0, 10);
+    EXPECT_EQ(l.starved(), 1) << "ties go to the lowest class";
+    l.grant(1, 10);
+    EXPECT_EQ(l.account(1).skipped, 0u) << "a grant resets the clock";
+    EXPECT_EQ(l.starved(), 2);
+    l.retire(2);
+    EXPECT_EQ(l.starved(), -1) << "nothing queued, nothing starves";
+
+    ClassLedger<uint64_t, int64_t> off(2, 0, /*promote_after=*/0);
+    off.admit(1);
+    for (int i = 0; i < 100; ++i)
+        off.grant(0, 10);
+    EXPECT_EQ(off.starved(), -1) << "0 disables the guard";
+}
+
+/**
+ * Differential test of the per-core loop (admit; pick with the guard;
+ * grant; settle; finish or requeue) against a brute-force reference
+ * that keeps the queue as a vector in push order and scans it. LAS runs
+ * with both engines' tie sequences: the runtime's admission sequence
+ * (reference: the lexicographic (quanta, seq) minimum) and the sim's
+ * push count (reference: the first strict minimum in push order). At
+ * every grant: the same job is picked; budget and deficit match the
+ * reference and |deficit| <= clamp; and no runnable class is passed
+ * over more than promote_after + (classes - 2) grants in a row, which
+ * is promote_after with two classes. With more, each class already at
+ * the threshold takes one grant first; the random sequences do exceed
+ * promote_after alone.
+ */
+TEST(SchedulingCore, MatchesBruteForceReferenceOnRandomSequences)
+{
+    struct Job
+    {
+        int id, cls, slices_left;
+        uint32_t quanta;
+        uint64_t seq;
+    };
+    uint64_t promotions = 0, floor_hits = 0, clamp_hits = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        Rng rng(0x5eed0000u + static_cast<uint64_t>(trial));
+        const bool las = trial % 2 == 0;
+        const bool push_seq = (trial / 2) % 2 == 0; // the sim's sequence
+        const size_t classes = 2 + rng.below(4);
+        const int64_t clamp = static_cast<int64_t>(rng.below(60));
+        const uint64_t after = 1 + rng.below(6);
+        std::vector<uint64_t> base(classes);
+        for (auto &b : base)
+            b = 4 + rng.below(40);
+        ItemQueue<uint32_t> q(las ? WorkPolicy::Las
+                                  : WorkPolicy::ProcessorSharing);
+        ClassLedger<uint64_t, int64_t> ledger(classes, clamp, after);
+        std::vector<Job> ref; // push order
+        std::vector<int64_t> deficit(classes, 0);
+        std::vector<uint64_t> skipped(classes, 0);
+        std::vector<uint32_t> runnable(classes, 0);
+        uint64_t next_seq = 0;
+        for (int step = 0, next_id = 0; step < 600; ++step) {
+            if (ref.empty() || (ref.size() < 24 && rng.below(2) == 0)) {
+                // Class 0 floods with one-slice jobs, which under LAS
+                // always beat requeued work; others run several slices.
+                const int cls = rng.below(2) == 0
+                                    ? 0
+                                    : static_cast<int>(rng.below(classes));
+                const int slices =
+                    cls == 0 ? 1 : 1 + static_cast<int>(rng.below(6));
+                ref.push_back(Job{next_id++, cls, slices, 0, next_seq++});
+                q.push({ref.back().id, cls, 0, ref.back().seq});
+                ledger.admit(cls);
+                ++runnable[static_cast<size_t>(cls)];
+                continue;
+            }
+            int starved = -1;
+            for (size_t k = 0; k < classes; ++k)
+                if (runnable[k] != 0 && skipped[k] >= after &&
+                    (starved < 0 ||
+                     skipped[k] > skipped[static_cast<size_t>(starved)]))
+                    starved = static_cast<int>(k);
+            size_t best = ref.size();
+            for (size_t i = 0; i < ref.size(); ++i) {
+                if (starved >= 0 && ref[i].cls != starved)
+                    continue;
+                if (best == ref.size() ||
+                    (las && (ref[i].quanta < ref[best].quanta ||
+                             (!push_seq &&
+                              ref[i].quanta == ref[best].quanta &&
+                              ref[i].seq < ref[best].seq))))
+                    best = i;
+                if (!las)
+                    break;
+            }
+            Job job = ref[best];
+            ref.erase(ref.begin() + static_cast<ptrdiff_t>(best));
+
+            Item<uint32_t> got{-1, -1, 0, 0};
+            ASSERT_EQ(ledger.starved(), starved) << "trial " << trial;
+            if (starved >= 0) {
+                ASSERT_TRUE(q.extract_class(starved, got));
+                ++promotions;
+            } else {
+                got = q.pop();
+            }
+            ASSERT_EQ(got.id, job.id)
+                << "trial " << trial << " step " << step;
+
+            const size_t c = static_cast<size_t>(job.cls);
+            const int64_t want = static_cast<int64_t>(base[c]) + deficit[c];
+            const int64_t floor = static_cast<int64_t>(base[c] / 4) + 1;
+            floor_hits += want < floor;
+            const uint64_t budget = ledger.grant(job.cls, base[c]);
+            ASSERT_EQ(budget, static_cast<uint64_t>(std::max(want, floor)));
+            for (size_t k = 0; k < classes; ++k) {
+                skipped[k] = k == c ? 0 : skipped[k] + (runnable[k] != 0);
+                ASSERT_EQ(ledger.account(static_cast<int>(k)).skipped,
+                          skipped[k]);
+                ASSERT_LE(skipped[k], after + classes - 2)
+                    << "class " << k << " starved, trial " << trial;
+            }
+
+            const uint64_t used = rng.below(3 * budget + 1); // to 3x over
+            ledger.settle(job.cls, budget, used);
+            const int64_t settled = deficit[c] +
+                                    static_cast<int64_t>(budget) -
+                                    static_cast<int64_t>(used);
+            clamp_hits += settled > clamp || settled < -clamp;
+            deficit[c] = std::clamp(settled, -clamp, clamp);
+            ASSERT_EQ(ledger.account(job.cls).deficit, deficit[c]);
+            ASSERT_LE(std::abs(deficit[c]), clamp);
+
+            if (--job.slices_left == 0) {
+                ledger.retire(job.cls);
+                --runnable[c];
+            } else {
+                ++job.quanta;
+                if (push_seq)
+                    job.seq = next_seq++;
+                q.push({job.id, job.cls, job.quanta, job.seq});
+                ref.push_back(job);
+            }
+        }
+    }
+    // The random sequences reach every cold path they check.
+    EXPECT_GT(promotions, 0u);
+    EXPECT_GT(floor_hits, 0u);
+    EXPECT_GT(clamp_hits, 0u);
 }
 
 TEST(Cycles, MonotonicAndCalibrated)

@@ -10,8 +10,8 @@
  *    false-sharing. Runtime checks use tq::LayoutAudit — the friend hook
  *    the audited containers expose — because offsetof on
  *    non-standard-layout types is only conditionally supported.
- *  - Pick: property tests that DispatchView's SIMD/vector pick paths
- *    match the scalar JSQ+MSQ reference (DESIGN.md §"Dispatcher")
+ *  - Pick: property tests that DispatchView's single-pass pick matches
+ *    the two-pass JSQ+MSQ reference (DESIGN.md §"Dispatcher")
  *    bit-for-bit over randomized length/quanta arrays, including the
  *    assigned<finished wrap-clamp path, the kLenMax saturation path,
  *    and the JSQ-random reservoir's RNG call sequence.
@@ -305,7 +305,7 @@ TEST(Layout, DispatchViewLanesAreLineAlignedAndPadded)
 }
 
 // ---------------------------------------------------------------------
-// Packed-pick property tests: SIMD/vector paths vs the scalar reference.
+// Packed-pick property tests: the single-pass pick vs the reference.
 // ---------------------------------------------------------------------
 
 TEST(DispatchPick, MatchesScalarOnRandomizedViews)
@@ -318,12 +318,15 @@ TEST(DispatchPick, MatchesScalarOnRandomizedViews)
         const uint64_t len_range = 1 + rng.below(trial % 3 == 0 ? 4 : 1000);
         const uint32_t quanta_range =
             static_cast<uint32_t>(1 + rng.below(trial % 2 == 0 ? 3 : 100));
+        uint64_t min_len = ~0ULL;
         for (size_t i = 0; i < n; ++i) {
-            view.set_len(i, rng.below(len_range));
+            const uint64_t len = rng.below(len_range);
+            min_len = len < min_len ? len : min_len;
+            view.set_len(i, len);
             view.set_quanta(i,
                             static_cast<uint32_t>(rng.below(quanta_range)));
         }
-        ASSERT_EQ(view.min_len(), view.min_len_scalar()) << "trial " << trial;
+        ASSERT_EQ(view.min_len(), min_len) << "trial " << trial;
         ASSERT_EQ(view.pick_jsq_msq(), view.pick_jsq_msq_scalar())
             << "trial " << trial << " n=" << n;
     }
@@ -391,21 +394,21 @@ TEST(DispatchPick, BumpLenMatchesIncrementalScalarUse)
     Rng rng(7);
     for (int trial = 0; trial < 500; ++trial) {
         const size_t n = 1 + rng.below(32);
-        DispatchView simd_view(n);
+        DispatchView view(n);
         DispatchView ref_view(n);
         for (size_t i = 0; i < n; ++i) {
             const uint64_t len = rng.below(6);
             const uint32_t q = static_cast<uint32_t>(rng.below(5));
-            simd_view.set_len(i, len);
+            view.set_len(i, len);
             ref_view.set_len(i, len);
-            simd_view.set_quanta(i, q);
+            view.set_quanta(i, q);
             ref_view.set_quanta(i, q);
         }
         for (int step = 0; step < 40; ++step) {
-            const int a = simd_view.pick_jsq_msq();
+            const int a = view.pick_jsq_msq();
             const int b = ref_view.pick_jsq_msq_scalar();
             ASSERT_EQ(a, b) << "trial " << trial << " step " << step;
-            simd_view.bump_len(static_cast<size_t>(a));
+            view.bump_len(static_cast<size_t>(a));
             ref_view.bump_len(static_cast<size_t>(b));
         }
     }
@@ -413,7 +416,7 @@ TEST(DispatchPick, BumpLenMatchesIncrementalScalarUse)
 
 TEST(DispatchPick, JsqRandomConsumesRngIdenticallyToTheOldLoop)
 {
-    // The pre-SIMD dispatcher loop, verbatim: one below(++tie_count) per
+    // The original dispatcher loop, verbatim: one below(++tie_count) per
     // tied worker in ascending index order. Seeded runs must reproduce.
     Rng data_rng(1234);
     for (int trial = 0; trial < 5000; ++trial) {

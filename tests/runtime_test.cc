@@ -190,12 +190,25 @@ TEST(Runtime, LasIsFifoAmongEqualQuanta)
     // (quanta, admit_seq) and must preserve that order exactly. A long
     // blocker admitted first accumulates quanta; the shorts all stay at
     // zero and finish within one quantum, so their completion order is
-    // their admission (= submission) order.
+    // their admission (= submission) order. The shorts busy-wait without
+    // probes: a probed short whose thread the OS deschedules past the
+    // quantum would be preempted, and LAS would then rightly run the
+    // next zero-quanta short first.
     RuntimeConfig cfg;
     cfg.num_workers = 1;
     cfg.quantum_us = 200.0;
     cfg.work = WorkPolicy::Las;
-    Runtime rt(cfg, spin_handler());
+    Runtime rt(cfg, [](const Request &req) {
+        if (req.job_class == 0) {
+            const Cycles end =
+                rdcycles() + ns_to_cycles(static_cast<double>(req.payload));
+            while (rdcycles() < end)
+                cpu_relax();
+        } else {
+            workloads::spin_for(static_cast<double>(req.payload));
+        }
+        return req.id;
+    });
     rt.start();
     std::vector<Request> reqs;
     reqs.push_back(make_spin_request(999, 5e6, 1)); // 5ms blocker first
@@ -485,7 +498,12 @@ TEST(Lifecycle, BatchedDispatchAccountsForEveryAcceptedJob)
             rt.drain_responses(responses); // keep TX mostly drained
     }
     ASSERT_GT(accepted, 0u);
-    EXPECT_TRUE(rt.drain(/*deadline_sec=*/60.0));
+    // drain() reports a clean drain exactly when nothing was dropped or
+    // abandoned; the finite push budget makes drops possible on a
+    // loaded host, so the return value is checked against the counters
+    // rather than assumed true.
+    const bool clean = rt.drain(/*deadline_sec=*/60.0);
+    EXPECT_EQ(clean, rt.dropped_responses() + rt.abandoned_jobs() == 0);
     rt.drain_responses(responses);
     EXPECT_EQ(responses.size() + rt.dropped_responses() +
                   rt.abandoned_jobs(),
@@ -1006,15 +1024,18 @@ TEST(PerClassQuanta, StarvationGuardForcesPromotionUnderLasFlood)
 
     // Let the long job attain a few quanta alone first.
     const auto first =
-        run_requests(rt, {make_spin_request(999, 5e6, /*job_class=*/1)},
+        run_requests(rt, {make_spin_request(999, 50e6, /*job_class=*/1)},
                      /*timeout_sec=*/0.0);
     ASSERT_TRUE(first.empty()) << "long job should still be running";
     // Let it attain well over 25 quanta (a short's lifetime worth) so
     // LAS ranks it strictly behind every in-progress short. Poll the
     // atomic grant counter instead of sleeping a fixed interval: a
-    // fixed sleep can overshoot the long's entire 5ms on a loaded
-    // host, leaving the flood nothing to starve. 250 grants of 2us
-    // leaves ~4.5ms of long work as margin.
+    // fixed sleep can overshoot the long's run on a loaded host,
+    // leaving the flood nothing to starve. 250 grants of 2us leave
+    // ~49.5ms of long work as margin: with 5ms in all, a submitting
+    // thread descheduled for ~4.5ms after the poll let the long finish
+    // before any short arrived (about 1 run in 20 beside three busy
+    // processes on 4 vCPUs).
     const Cycles poll_deadline = rdcycles() + ns_to_cycles(10e9);
     while (rt.worker(0).stats_line().total_quanta.load(
                std::memory_order_relaxed) < 250u &&

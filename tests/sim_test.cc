@@ -205,7 +205,7 @@ TEST(TwoLevel, DeficitCreditLengthensSlicesWithinAClass)
     // inside the budget bank granted-minus-used credit, which later
     // (longer) jobs of the same class spend as bigger slices. The mean
     // granted slice — class_effective_quantum — must therefore grow
-    // when the deficit mirror is armed, without changing completions.
+    // when the deficit clamp is set, without changing completions.
     auto dist = workload_table::exp1();
     TwoLevelConfig cfg = tl_config();
     cfg.class_quantum = {us(0.5)};
@@ -230,7 +230,7 @@ TEST(TwoLevel, DeficitCreditLengthensSlicesWithinAClass)
 TEST(TwoLevel, StarvationGuardPromotesStarvedClassUnderLas)
 {
     // LAS starves attained long jobs behind fresh shorts. With the
-    // guard armed the mirror must record forced promotions; with the
+    // guard armed the core must record forced promotions; with the
     // threshold at 0 (disabled, the byte-identical default) it must
     // record none.
     auto dist = workload_table::extreme_bimodal();
@@ -471,6 +471,46 @@ TEST(TwoLevel, SingleDispatcherResultsArePinnedBitForBit)
         EXPECT_FALSE(r.saturated);
         EXPECT_EQ(r.overall_mean_slowdown, 0x1.ff1ac3f194a02p-1);
         EXPECT_EQ(r.overall_p999_slowdown, 0x1.5772924db89f3p+5);
+    }
+    // Per-class scheduling (class quanta + deficit clamp + starvation
+    // guard, DESIGN.md §4i), captured before the per-core policy moved
+    // into common/run_queue.h: LAS on TPC-C and PS on High Bimodal at
+    // the benchmark's guard settings, then each with a tight guard so
+    // the promotion path runs too.
+    struct Pin
+    {
+        bool las;
+        double load, after, dur, completed, promotions, mean, p999, eff;
+    };
+    for (const Pin &p : {
+             Pin{true, 0.5, 128, 40, 16948, 0, 0x1.0560e4534dec3p+0,
+                 0x1.51f473fcd4b46p+0, 0x1.1160c6bc32e21p+11},
+             Pin{false, 0.5, 128, 40, 6373, 0, 0x1.168bdaff8a8a1p+0,
+                 0x1.8ecbfb2f9db23p+0, 0x1.f6810169a93a7p+8},
+             Pin{true, 0.7, 8, 20, 11923, 633, 0x1.0f2968d615685p+0,
+                 0x1.283e8e9d82837p+1, 0x1.11393f2341349p+11},
+             Pin{false, 0.9, 4, 20, 5703, 739, 0x1.5809b7646e75cp+1,
+                 0x1.033715b70d235p+3, 0x1.f680286945fcdp+8}}) {
+        auto dist = p.las ? workload_table::tpcc()
+                          : workload_table::high_bimodal();
+        TwoLevelConfig cfg;
+        cfg.core_policy =
+            p.las ? CorePolicy::Las : CorePolicy::ProcessorSharing;
+        cfg.class_quantum = {us(2), us(0.5)};
+        if (p.las)
+            cfg.class_quantum = {us(12), us(2), us(2), us(2), us(2)};
+        cfg.deficit_clamp = us(8);
+        cfg.starvation_promote_after = static_cast<uint64_t>(p.after);
+        cfg.duration = ms(p.dur);
+        cfg.seed = 7;
+        const SimResult r =
+            run_two_level(cfg, *dist, p.load * 16 / dist->mean());
+        EXPECT_EQ(r.completed, p.completed) << p.las << " " << p.load;
+        EXPECT_FALSE(r.saturated);
+        EXPECT_EQ(r.overall_mean_slowdown, p.mean);
+        EXPECT_EQ(r.overall_p999_slowdown, p.p999);
+        EXPECT_EQ(r.avg_effective_quantum, p.eff);
+        EXPECT_EQ(r.starvation_promotions, p.promotions);
     }
 }
 
