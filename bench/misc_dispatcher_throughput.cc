@@ -35,7 +35,7 @@
 #include "common/cycles.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
-#include "runtime/dispatch_view.h"
+#include "common/dispatch_view.h"
 #include "runtime/request.h"
 #include "runtime/worker_stats.h"
 
@@ -191,7 +191,7 @@ double
 packed_ns_per_job(int workers)
 {
     Cluster c(workers);
-    runtime::DispatchView view(static_cast<size_t>(workers));
+    DispatchView view(static_cast<size_t>(workers));
     runtime::Request batch[kBatch];
     runtime::Request scratch;
     Cycles timed = 0;

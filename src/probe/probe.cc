@@ -14,7 +14,7 @@ probe_state()
 namespace detail {
 
 void
-probe_expired(ProbeState &s)
+probe_expired(ProbeState &s, Cycles now)
 {
     if (s.preempt_disabled > 0) {
         // Inside a critical section: remember, yield at the next probe
@@ -35,6 +35,7 @@ probe_expired(ProbeState &s)
     s.yield_pending = false;
     TQ_CHECK(s.call_the_yield != nullptr);
     ++s.yields;
+    s.yielded_at = now;
 #if defined(TQ_TELEMETRY_ENABLED)
     if (s.telem != nullptr) {
         s.telem->counters.yields.fetch_add(1, std::memory_order_relaxed);

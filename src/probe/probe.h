@@ -52,6 +52,11 @@ struct ProbeState
     /** Total yields taken through probes (stats). */
     uint64_t yields = 0;
 
+    /** Cycle-counter reading at which the last probe yield fired, so
+     *  code that meters its own service (workloads::spin_cycles) can
+     *  count the work done up to the yield. */
+    Cycles yielded_at = 0;
+
 #if defined(TQ_TELEMETRY_ENABLED)
     /** Telemetry sink of the worker owning this thread (may be null). */
     telemetry::WorkerTelemetry *telem = nullptr;
@@ -65,8 +70,9 @@ struct ProbeState
 ProbeState &probe_state();
 
 namespace detail {
-/** Out-of-line expired-deadline path of tq_probe(). */
-void probe_expired(ProbeState &state);
+/** Out-of-line expired-deadline path of tq_probe(); @p now is the
+ *  cycle-counter reading that found the deadline passed. */
+void probe_expired(ProbeState &state, Cycles now);
 } // namespace detail
 
 /**
@@ -123,9 +129,10 @@ inline void
 tq_probe()
 {
     ProbeState &s = probe_state();
-    if (__builtin_expect(rdcycles() < s.deadline, 1))
+    const Cycles now = rdcycles();
+    if (__builtin_expect(now < s.deadline, 1))
         return;
-    detail::probe_expired(s);
+    detail::probe_expired(s, now);
 }
 
 /**

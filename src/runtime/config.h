@@ -10,17 +10,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/dispatch_view.h"
 #include "common/run_queue.h"
 
 namespace tq::runtime {
 
-/** Dispatcher load-balancing policy (paper sections 3.2, 5.4). */
-enum class DispatchPolicy {
-    JsqMsq,      ///< JSQ with Maximum-Serviced-Quanta ties (TQ default)
-    JsqRandom,   ///< JSQ with random ties
-    Random,      ///< uniform random worker
-    PowerOfTwo,  ///< least-loaded of two random workers
-};
+/** Dispatcher load-balancing policy; one enum shared with the
+ *  simulator's dispatchers (common/dispatch_view.h). */
+using DispatchPolicy = ::tq::LbPolicy;
 
 /** Per-worker quantum scheduling policy; one enum shared with the
  *  simulator's cores (common/run_queue.h). */
@@ -74,17 +71,12 @@ struct RuntimeConfig
      * snapshot through runtime/quantum_controller.h and republishes the
      * per-class quantum table; workers pick the new budgets up at their
      * next admission. Enables per-class mode even with an empty
-     * class_quantum_us (all classes start at quantum_us). Under
+     * class_quantum_us (all classes start at quantum_us). The
+     * controller runs with QuantumControllerConfig's defaults. Under
      * -DTQ_TELEMETRY=OFF the controller is compiled out and the table
      * statically keeps its configured values (adapt_quanta() == false).
      */
     bool adaptive_quantum = false;
-
-    double quantum_slo_slowdown = 5.0; ///< controller target: SLO-class
-                                       ///< p99 sojourn / mean service
-    double quantum_adapt_gain = 0.25;  ///< multiplicative step per tick
-    double quantum_min_us = 0.5;       ///< controller clamp floor
-    double quantum_max_us = 16.0;      ///< controller clamp ceiling
 
     /**
      * Dispatcher shards (DESIGN.md §4g). 1 — the default — is the
@@ -119,20 +111,6 @@ struct RuntimeConfig
      */
     uint32_t steal_min_load = 2;
 
-    /**
-     * Sharded-mode dispatch backpressure (num_dispatchers > 1 only):
-     * a shard stops forwarding RX -> worker rings once its outstanding
-     * (assigned-but-unfinished) jobs reach shard_window per owned
-     * worker, keeping the excess in its MPMC RX. Without the window a
-     * shard runs arbitrarily far ahead of its workers and buries the
-     * backlog in private SPSC rings where siblings cannot steal it —
-     * stealing only rebalances work that is still in an RX queue. 0
-     * disables the window (classic run-ahead). Ignored at
-     * num_dispatchers == 1, which forwards as fast as the rings accept,
-     * exactly as the pre-sharding dispatcher did.
-     */
-    size_t shard_window = 64;
-
     /** Task coroutines per worker. The paper observes stable performance
      *  at four or more and uses eight (section 5.1). */
     int tasks_per_worker = 8;
@@ -141,7 +119,8 @@ struct RuntimeConfig
     DispatchPolicy dispatch = DispatchPolicy::JsqMsq; ///< load balancer
     WorkPolicy work = WorkPolicy::ProcessorSharing;   ///< per-core policy
 
-    uint64_t seed = 1; ///< randomized policies (Random / PowerOfTwo)
+    uint64_t seed = 1; ///< randomized policies (JsqRandom / Random /
+                       ///< PowerOfTwo)
 
     /**
      * stop()'s graceful-drain budget in seconds: how long stop() lets

@@ -9,6 +9,22 @@
 
 namespace tq::runtime {
 
+namespace {
+
+/**
+ * Sharded-mode dispatch backpressure (num_dispatchers > 1 only): a
+ * shard stops forwarding RX -> worker rings once its outstanding
+ * (assigned-but-unfinished) jobs reach this many per owned worker,
+ * keeping the excess in its MPMC RX. Without the window a shard runs
+ * arbitrarily far ahead of its workers and buries the backlog in
+ * private SPSC rings where siblings cannot steal it — stealing only
+ * rebalances work that is still in an RX queue. A single dispatcher
+ * forwards as fast as the rings accept.
+ */
+constexpr uint64_t kShardWindow = 64;
+
+} // namespace
+
 Runtime::Runtime(RuntimeConfig cfg, Handler handler)
     : cfg_(cfg),
       metrics_(std::make_unique<telemetry::MetricsRegistry>(
@@ -46,15 +62,9 @@ Runtime::Runtime(RuntimeConfig cfg, Handler handler)
                 static_cast<int>(c),
                 ns_to_cycles(cfg_.class_quantum_us[c] * 1e3));
         }
-        if (cfg_.adaptive_quantum && telemetry::kEnabled) {
-            QuantumControllerConfig qc;
-            qc.target_slowdown = cfg_.quantum_slo_slowdown;
-            qc.gain = cfg_.quantum_adapt_gain;
-            qc.min_quantum_us = cfg_.quantum_min_us;
-            qc.max_quantum_us = cfg_.quantum_max_us;
+        if (cfg_.adaptive_quantum && telemetry::kEnabled)
             controller_ = std::make_unique<QuantumController>(
-                qc, std::move(initial));
-        }
+                QuantumControllerConfig{}, std::move(initial));
     }
     for (int w = 0; w < cfg_.num_workers; ++w)
         workers_.push_back(std::make_unique<Worker>(
@@ -274,81 +284,32 @@ Runtime::queue_lengths()
     std::lock_guard<std::mutex> lock(stats_mu_);
     std::vector<uint64_t> lens(workers_.size());
     for (size_t w = 0; w < workers_.size(); ++w) {
-        const uint64_t fin =
-            query_readers_[w].read_finished(workers_[w]->stats_line());
-        const uint64_t asn = assigned_[w].load(std::memory_order_relaxed);
-        // assigned_ is bumped *after* the ring push, so a fast worker can
-        // transiently put finished ahead of assigned; clamp instead of
-        // wrapping to 2^64.
-        lens[w] = asn > fin ? asn - fin : 0;
+        lens[w] = DispatchView::outstanding(
+            assigned_[w].load(std::memory_order_relaxed),
+            query_readers_[w].read_finished(workers_[w]->stats_line()));
     }
     return lens;
-}
-
-int
-Runtime::pick_worker(DispatcherShard &sh)
-{
-    // Policies operate over the shard's owned span; returned ids are
-    // global worker indices.
-    const int first = sh.span.first;
-    const int n = sh.span.count;
-    switch (cfg_.dispatch) {
-      case DispatchPolicy::Random:
-        return first +
-               static_cast<int>(sh.rng.below(static_cast<uint64_t>(n)));
-      case DispatchPolicy::PowerOfTwo: {
-        if (n == 1)
-            return first; // no second worker to sample; degrade gracefully
-        const int a =
-            static_cast<int>(sh.rng.below(static_cast<uint64_t>(n)));
-        int b =
-            static_cast<int>(sh.rng.below(static_cast<uint64_t>(n - 1)));
-        if (b >= a)
-            ++b;
-        const auto len = [&](int i) {
-            sh.finished_view[static_cast<size_t>(i)] =
-                sh.readers[static_cast<size_t>(i)].read_finished(
-                    *sh.stat_lines[static_cast<size_t>(i)]);
-            const uint64_t asn =
-                assigned_[static_cast<size_t>(first + i)].load(
-                    std::memory_order_relaxed);
-            const uint64_t fin = sh.finished_view[static_cast<size_t>(i)];
-            // assigned_ is bumped *after* the ring push, so a fast
-            // worker can transiently put finished ahead of assigned;
-            // clamp so it is not mis-ranked as infinitely loaded.
-            return asn > fin ? asn - fin : 0;
-        };
-        return first + (len(a) <= len(b) ? a : b);
-      }
-      case DispatchPolicy::JsqRandom:
-      case DispatchPolicy::JsqMsq:
-        refresh_dispatch_views(sh);
-        return pick_worker_from_view(sh);
-    }
-    TQ_CHECK(false);
-    return first;
 }
 
 void
 Runtime::refresh_dispatch_views(DispatcherShard &sh)
 {
-    // Refresh the shard's JSQ view from its workers' counter lines:
-    // queue length = assigned - finished (delta-tracked across wraps,
-    // clamped at 0 against the transient finished>assigned race noted
-    // above). This is the only place a dispatcher touches shared cache
-    // lines for load balancing; everything downstream works on the
-    // packed view until the next batch boundary. stat_lines keeps the
-    // walk over the workers' lines pointer-chase-free. The length sum
-    // doubles as the shard's aggregate-load input (shard_front.h).
+    // Refresh the shard's view from its workers' counter lines: queue
+    // length = assigned - finished (delta-tracked across wraps, clamped
+    // at 0 by DispatchView::outstanding). This is the only place a
+    // dispatcher touches shared cache lines for load balancing;
+    // everything downstream works on the packed view until the next
+    // batch boundary. stat_lines keeps the walk over the workers' lines
+    // pointer-chase-free. The length sum doubles as the shard's
+    // aggregate-load input (shard_front.h).
     const size_t n = static_cast<size_t>(sh.span.count);
     uint64_t sum = 0;
     for (size_t i = 0; i < n; ++i) {
-        sh.finished_view[i] = sh.readers[i].read_finished(*sh.stat_lines[i]);
-        const uint64_t asn =
+        const uint64_t fin = sh.readers[i].read_finished(*sh.stat_lines[i]);
+        const uint64_t len = DispatchView::outstanding(
             assigned_[static_cast<size_t>(sh.span.first) + i].load(
-                std::memory_order_relaxed);
-        const uint64_t len =
-            asn > sh.finished_view[i] ? asn - sh.finished_view[i] : 0;
+                std::memory_order_relaxed),
+            fin);
         sh.view.set_len(i, len);
         sum += len;
         if (cfg_.dispatch == DispatchPolicy::JsqMsq)
@@ -356,23 +317,6 @@ Runtime::refresh_dispatch_views(DispatcherShard &sh)
                 i, WorkerStatsReader::read_current_quanta(*sh.stat_lines[i]));
     }
     sh.queue_sum = sum;
-}
-
-int
-Runtime::pick_worker_from_view(DispatcherShard &sh)
-{
-    // JSQ over the shard's packed local view (dispatch_view.h), with
-    // the policy's tie-break. With a batch size of 1 (a refresh before
-    // every call) this is exactly the unbatched policy; inside a batch,
-    // ties use the boundary snapshot of current_quanta and queue
-    // lengths grow with each assignment. The view is span-local;
-    // translate to a global worker id on the way out.
-    const int best = cfg_.dispatch == DispatchPolicy::JsqRandom
-                         ? sh.view.pick_jsq_random(sh.rng)
-                         : sh.view.pick_jsq_msq();
-    TQ_CHECK(best >= 0);
-    sh.view.bump_len(static_cast<size_t>(best));
-    return sh.span.first + best;
 }
 
 void
@@ -521,24 +465,22 @@ Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
 void
 Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 {
-    const bool jsq_policy = cfg_.dispatch == DispatchPolicy::JsqMsq ||
-                            cfg_.dispatch == DispatchPolicy::JsqRandom;
-    const bool sharded = shards_.size() > 1;
     // One arrival stamp covers the batch: the requests were all in
     // RX when the batch was claimed, and per-request RDTSC is
     // exactly the kind of per-job cost batching amortizes away.
     const Cycles arrived_at = rdcycles();
-    // Non-JSQ policies do not read the view, but a sharded runtime
-    // still refreshes per batch: the queue-sum side effect feeds the
-    // advertised load line the front tier steers by.
-    if (jsq_policy || sharded)
-        refresh_dispatch_views(sh);
+    // Every policy picks from the batch-boundary view (with a batch
+    // of 1 this is exactly the unbatched policy); the chosen lane is
+    // bumped per pick, so the view is stale only in what workers
+    // finished since the refresh. Ties use the boundary snapshot of
+    // current_quanta.
+    refresh_dispatch_views(sh);
     uint64_t pushed = 0;
     for (size_t i = 0; i < n; ++i) {
         Request &req = reqs[i];
         req.arrival_cycles = arrived_at;
         // Scatter-gather expansion: a request with fanout k becomes
-        // k shard pushes, each placed by its own policy pick (JSQ's
+        // k shard pushes, each placed by its own policy pick (the
         // incremental bump_len spreads the shards naturally). The
         // degenerate k=1 loop is exactly the classic per-request
         // path. Per-shard counters: dispatched_total/assigned_ move
@@ -546,8 +488,9 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
         const uint32_t fanout = req.fanout == 0 ? 1 : req.fanout;
         for (uint32_t s = 0; s < fanout; ++s) {
             req.shard = s;
-            const int target =
-                jsq_policy ? pick_worker_from_view(sh) : pick_worker(sh);
+            const int local = sh.view.pick(cfg_.dispatch, sh.rng);
+            sh.view.bump_len(static_cast<size_t>(local));
+            const int target = sh.span.first + local;
 #if defined(TQ_TELEMETRY_ENABLED)
             // Stamp the handoff *before* the push: once the request
             // is in the ring the worker may already be reading it.
@@ -575,7 +518,7 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 #if defined(TQ_TELEMETRY_ENABLED)
     metrics_->dispatcher(sh.index).batch_occupancy.add(n);
 #endif
-    if (sharded)
+    if (shards_.size() > 1)
         publish_load(sh, pushed);
 }
 
@@ -598,14 +541,14 @@ Runtime::dispatcher_main(int shard_index)
         const Lifecycle phase = lc_.phase();
         if (phase >= Lifecycle::Stopping)
             break;
-        if (sharded && cfg_.shard_window > 0) {
+        if (sharded) {
             // Backpressure: past the window, hold the backlog in RX
             // (where siblings can steal it) instead of burying it in
             // the workers' private rings. queue_sum is the view from
             // the last refresh, so the first test is free; only a full
             // window pays for a re-read before deciding to wait.
             const uint64_t window =
-                cfg_.shard_window * static_cast<uint64_t>(sh.span.count);
+                kShardWindow * static_cast<uint64_t>(sh.span.count);
             if (sh.queue_sum >= window) {
                 refresh_dispatch_views(sh);
                 publish_load(sh, 0);

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
+#include "common/dispatch_view.h"
 #include "common/run_queue.h"
 #include "common/shard.h"
 #include "sim/event_core.h"
@@ -57,8 +57,7 @@ struct Core
     SimNanos slice = 0;          ///< service granted to `running`
     uint64_t quanta_sum = 0;     ///< MSQ metric: serviced quanta of
                                  ///< currently admitted jobs
-    int jobs = 0;                ///< queue length seen by JSQ
-    uint64_t finished = 0;       ///< completions (the shared counter)
+    int jobs = 0;                ///< assigned - finished (queue length)
     // Figure-16 style effective-quantum accounting.
     double grant_intervals = 0;
     uint64_t grants = 0;
@@ -84,10 +83,7 @@ class TwoLevelSim
         : cfg_(cfg),
           core_(dist, rate, cfg.seed, cfg.duration, cfg.max_in_flight,
                 cfg.stop_when_saturated, cfg.warmup),
-          fanout_(static_cast<uint32_t>(cfg.fanout)),
-          assigned_(static_cast<size_t>(cfg.num_cores), 0),
-          snap_finished_(static_cast<size_t>(cfg.num_cores), 0),
-          snap_quanta_(static_cast<size_t>(cfg.num_cores), 0)
+          fanout_(static_cast<uint32_t>(cfg.fanout))
     {
         TQ_CHECK(cfg.num_cores > 0);
         TQ_CHECK(cfg.num_dispatchers > 0);
@@ -98,9 +94,11 @@ class TwoLevelSim
         dispatchers_.resize(static_cast<size_t>(cfg.num_dispatchers));
         front_pending_.resize(static_cast<size_t>(cfg.num_dispatchers));
         front_loads_.resize(static_cast<size_t>(cfg.num_dispatchers), 0);
-        for (int d = 0; d < cfg.num_dispatchers; ++d)
+        for (int d = 0; d < cfg.num_dispatchers; ++d) {
             spans_.push_back(
                 shard_span(cfg.num_cores, cfg.num_dispatchers, d));
+            views_.emplace_back(static_cast<size_t>(spans_.back().count));
+        }
         if (!cfg_.class_quantum.empty())
             TQ_CHECK(cfg_.class_quantum.size() ==
                      dist.class_names().size());
@@ -165,30 +163,13 @@ class TwoLevelSim
     Job &job(uint32_t idx) { return core_.job(idx); }
 
     // --------------------------------------------------------- units --
-    // Queues and core slots hold *units*: at fanout 1 a unit IS the
-    // arena index (same values, same arithmetic, byte-identical runs);
-    // at fanout k unit = idx * k + shard, with per-shard remaining and
-    // quanta kept in side arrays and the logical job completing when
-    // its last shard drains (scatter-gather, last-response-wins).
-    uint32_t
-    idx_of(uint32_t unit) const
-    {
-        return fanout_ == 1 ? unit : unit / fanout_;
-    }
-
-    double &
-    remaining_of(uint32_t unit)
-    {
-        return fanout_ == 1 ? job(unit).remaining
-                            : shard_remaining_[unit];
-    }
-
-    uint64_t
-    quanta_of(uint32_t unit)
-    {
-        return fanout_ == 1 ? job(unit).serviced_quanta
-                            : shard_quanta_[unit];
-    }
+    // Queues and core slots hold *units*: unit = idx * fanout + shard,
+    // with per-unit remaining service and quanta kept in side arrays
+    // and the logical job completing when its last unit drains
+    // (scatter-gather, last-response-wins). At fanout 1 a unit is the
+    // arena index and divisions by 1 are exact, so the classic path's
+    // arithmetic is unchanged.
+    uint32_t idx_of(uint32_t unit) const { return unit / fanout_; }
 
     // ------------------------------------------------------- arrivals --
     void
@@ -197,8 +178,7 @@ class TwoLevelSim
         const uint32_t idx =
             core_.try_admit(1.0 + cfg_.probe_overhead_frac);
         if (idx != EngineCore::kNoJob) {
-            if (fanout_ > 1)
-                split_into_shards(idx);
+            split_into_units(idx);
             if (cfg_.num_dispatchers == 1) {
                 // Single dispatcher: the paper's configuration, and
                 // byte-identical to the pre-sharding simulator — no
@@ -250,11 +230,12 @@ class TwoLevelSim
     /**
      * Front-tier JSQ (common/shard.h): steer to the shard with the
      * smallest aggregate load — dispatch backlog (queued + in hand +
-     * still crossing the front latency) plus the owned cores'
-     * viewed queue lengths, read from the same periodically refreshed
-     * stats snapshot the dispatchers use, mirroring the staleness of
-     * the runtime's advertised load lines. Rotation by arrival count
-     * spreads tied picks like the runtime's submitter-local counter.
+     * still crossing the front latency) plus the owned cores' queue
+     * lengths in the shard's dispatch view, the same periodically
+     * refreshed view the shard's dispatcher picks from, mirroring the
+     * staleness of the runtime's advertised load lines. Rotation by
+     * arrival count spreads tied picks like the runtime's
+     * submitter-local counter.
      */
     int
     pick_shard()
@@ -266,11 +247,9 @@ class TwoLevelSim
             uint64_t load =
                 disp.q.size() + (disp.busy ? 1 : 0) +
                 front_pending_[static_cast<size_t>(d)].size();
-            const ShardSpan span = spans_[static_cast<size_t>(d)];
-            for (int w = span.first; w < span.first + span.count; ++w) {
-                const long len = viewed_len(w);
-                load += len > 0 ? static_cast<uint64_t>(len) : 0;
-            }
+            const DispatchView &view = views_[static_cast<size_t>(d)];
+            for (size_t i = 0; i < view.workers(); ++i)
+                load += view.len(i);
             front_loads_[static_cast<size_t>(d)] =
                 load > UINT32_MAX ? UINT32_MAX
                                   : static_cast<uint32_t>(load);
@@ -280,20 +259,20 @@ class TwoLevelSim
     }
 
     void
-    split_into_shards(uint32_t idx)
+    split_into_units(uint32_t idx)
     {
         const size_t need = static_cast<size_t>(idx + 1) * fanout_;
-        if (shard_remaining_.size() < need) {
-            shard_remaining_.resize(need, 0);
-            shard_quanta_.resize(need, 0);
+        if (unit_remaining_.size() < need) {
+            unit_remaining_.resize(need, 0);
+            unit_quanta_.resize(need, 0);
         }
-        if (shards_live_.size() <= idx)
-            shards_live_.resize(static_cast<size_t>(idx) + 1, 0);
-        shards_live_[idx] = fanout_;
-        const double per_shard = job(idx).remaining / fanout_;
+        if (units_live_.size() <= idx)
+            units_live_.resize(static_cast<size_t>(idx) + 1, 0);
+        units_live_[idx] = fanout_;
+        const double per_unit = job(idx).remaining / fanout_;
         for (uint32_t s = 0; s < fanout_; ++s) {
-            shard_remaining_[idx * fanout_ + s] = per_shard;
-            shard_quanta_[idx * fanout_ + s] = 0;
+            unit_remaining_[idx * fanout_ + s] = per_unit;
+            unit_quanta_[idx * fanout_ + s] = 0;
         }
     }
 
@@ -319,11 +298,13 @@ class TwoLevelSim
         disp.busy = false;
 
         const int target = pick_core(d);
+        const size_t shard = static_cast<size_t>(d);
+        views_[shard].bump_len(
+            static_cast<size_t>(target - spans_[shard].first));
         Core &core = cores_[static_cast<size_t>(target)];
         enqueue(core, unit);
         ++core.jobs;
-        ++assigned_[static_cast<size_t>(target)];
-        core.quanta_sum += quanta_of(unit); // 0 for fresh units
+        core.quanta_sum += unit_quanta_[unit]; // 0 for fresh units
         if (core.ledger)
             core.ledger->admit(class_of(unit));
         if (core.running == kNone)
@@ -334,9 +315,11 @@ class TwoLevelSim
 
     // -------------------------------------------------- load balancing --
     /**
-     * Dispatcher's view of worker w's queue length and quanta: its own
-     * assignment count minus the worker's finished counter as of the
-     * last refresh of the shared cache lines (paper section 4).
+     * Refresh every shard's dispatch view from its cores' counters
+     * (paper section 4: the shared cache lines are "periodically read
+     * by the dispatcher"). Between refreshes a view misses what cores
+     * finished but, through bump_len, never what its dispatcher
+     * assigned.
      */
     void
     refresh_stats_if_due()
@@ -345,83 +328,26 @@ class TwoLevelSim
             core_.now() - last_refresh_ < cfg_.stats_refresh_period)
             return;
         last_refresh_ = core_.now();
-        for (int w = 0; w < cfg_.num_cores; ++w) {
-            snap_finished_[static_cast<size_t>(w)] =
-                cores_[static_cast<size_t>(w)].finished;
-            snap_quanta_[static_cast<size_t>(w)] =
-                cores_[static_cast<size_t>(w)].quanta_sum;
+        for (size_t d = 0; d < views_.size(); ++d) {
+            DispatchView &view = views_[d];
+            const int first = spans_[d].first;
+            for (size_t i = 0; i < view.workers(); ++i) {
+                const Core &core = cores_[static_cast<size_t>(first) + i];
+                view.set_len(i, static_cast<uint64_t>(core.jobs));
+                view.set_quanta(i, static_cast<uint32_t>(std::min<uint64_t>(
+                                       core.quanta_sum, UINT32_MAX)));
+            }
         }
     }
 
-    long
-    viewed_len(int w) const
-    {
-        return static_cast<long>(assigned_[static_cast<size_t>(w)]) -
-               static_cast<long>(snap_finished_[static_cast<size_t>(w)]);
-    }
-
+    /** Dispatcher @p d's policy pick over its owned span (common/
+     *  dispatch_view.h); returns a global core id. */
     int
     pick_core(int d)
     {
-        // The pick ranges over dispatcher @p d's owned span only: with
-        // one dispatcher that is every core (the historical behaviour,
-        // RNG stream included); a sharded tier keeps worker ownership
-        // disjoint, exactly like the runtime's per-shard DispatchView.
         refresh_stats_if_due();
-        Rng &rng = core_.rng();
-        const ShardSpan span = spans_[static_cast<size_t>(d)];
-        const int first = span.first;
-        const int n = span.count;
-        switch (cfg_.lb) {
-          case LbPolicy::Random:
-            return first +
-                   static_cast<int>(rng.below(static_cast<uint64_t>(n)));
-          case LbPolicy::PowerOfTwo: {
-            if (n == 1)
-                return first; // no second core to sample
-            const int a =
-                static_cast<int>(rng.below(static_cast<uint64_t>(n)));
-            int b = static_cast<int>(
-                rng.below(static_cast<uint64_t>(n - 1)));
-            if (b >= a)
-                ++b;
-            const long qa = viewed_len(first + a);
-            const long qb = viewed_len(first + b);
-            if (qa != qb)
-                return first + (qa < qb ? a : b);
-            return first + (rng.bernoulli(0.5) ? a : b);
-          }
-          case LbPolicy::JsqRandom:
-          case LbPolicy::JsqMsq: {
-            long best_len = viewed_len(first);
-            for (int c = first + 1; c < first + n; ++c)
-                best_len = std::min(best_len, viewed_len(c));
-            // Collect ties (global core ids).
-            ties_.clear();
-            for (int c = first; c < first + n; ++c)
-                if (viewed_len(c) == best_len)
-                    ties_.push_back(c);
-            if (ties_.size() == 1)
-                return ties_[0];
-            if (cfg_.lb == LbPolicy::JsqRandom)
-                return ties_[rng.below(ties_.size())];
-            // MSQ: the core whose current jobs have received the most
-            // quanta is expected to finish them soonest (section 3.2).
-            int best = ties_[0];
-            uint64_t best_quanta = snap_quanta_[static_cast<size_t>(best)];
-            for (size_t i = 1; i < ties_.size(); ++i) {
-                const int c = ties_[i];
-                const uint64_t q = snap_quanta_[static_cast<size_t>(c)];
-                if (q > best_quanta) {
-                    best = c;
-                    best_quanta = q;
-                }
-            }
-            return best;
-          }
-        }
-        TQ_CHECK(false);
-        return 0;
+        return spans_[static_cast<size_t>(d)].first +
+               views_[static_cast<size_t>(d)].pick(cfg_.lb, core_.rng());
     }
 
     // ------------------------------------------------------- workers --
@@ -429,14 +355,9 @@ class TwoLevelSim
     double
     attained(uint32_t unit)
     {
-        if (fanout_ == 1) {
-            const Job &j = job(unit);
-            return j.demand * (1.0 + cfg_.probe_overhead_frac) -
-                   j.remaining;
-        }
         const Job &j = job(idx_of(unit));
         return j.demand * (1.0 + cfg_.probe_overhead_frac) / fanout_ -
-               shard_remaining_[unit];
+               unit_remaining_[unit];
     }
 
     SimNanos
@@ -483,7 +404,7 @@ class TwoLevelSim
         }
         core.running = next.unit;
         const int cls = next.cls;
-        const SimNanos remaining = remaining_of(core.running);
+        const SimNanos remaining = unit_remaining_[core.running];
         SimNanos budget = quantum_for(job(idx_of(core.running)));
         if (core.ledger)
             budget = core.ledger->grant(cls, budget);
@@ -511,35 +432,26 @@ class TwoLevelSim
         Core &core = cores_[static_cast<size_t>(c)];
         const uint32_t unit = core.running;
         core.running = kNone;
-        double &remaining = remaining_of(unit);
+        double &remaining = unit_remaining_[unit];
         remaining -= core.slice;
 
         if (core.ledger)
             core.ledger->settle(class_of(unit), core.granted, core.slice);
 
         if (remaining <= 1e-9) {
-            // Unit done: at fanout 1 the response leaves directly from
-            // the worker; a fanned-out request completes only when its
-            // LAST shard drains (scatter-gather gathers at the client).
+            // Unit done: the response leaves directly from the worker
+            // once the request's LAST unit drains (a fanned-out request
+            // gathers at the client).
             --core.jobs;
-            ++core.finished;
-            core.quanta_sum -= quanta_of(unit);
+            core.quanta_sum -= unit_quanta_[unit];
             if (core.ledger)
                 core.ledger->retire(class_of(unit));
-            if (fanout_ == 1) {
-                core_.complete(unit, core_.now() +
-                                         cfg_.overheads.response_cost);
-            } else {
-                const uint32_t idx = idx_of(unit);
-                if (--shards_live_[idx] == 0)
-                    core_.complete(
-                        idx, core_.now() + cfg_.overheads.response_cost);
-            }
+            const uint32_t idx = idx_of(unit);
+            if (--units_live_[idx] == 0)
+                core_.complete(idx,
+                               core_.now() + cfg_.overheads.response_cost);
         } else {
-            if (fanout_ == 1)
-                ++job(unit).serviced_quanta;
-            else
-                ++shard_quanta_[unit];
+            ++unit_quanta_[unit];
             ++core.quanta_sum;
             enqueue(core, unit); // PS: back of the round-robin queue
         }
@@ -550,25 +462,23 @@ class TwoLevelSim
     EngineCore core_;
     uint32_t fanout_;
 
-    /** Per-unit shard state, only populated at fanout > 1. */
-    std::vector<double> shard_remaining_;
-    std::vector<uint64_t> shard_quanta_;
-    std::vector<uint32_t> shards_live_; ///< per job index
+    /** Per-unit state, indexed by unit. */
+    std::vector<double> unit_remaining_;
+    std::vector<uint64_t> unit_quanta_;
+    std::vector<uint32_t> units_live_; ///< per job index
 
     std::vector<Dispatcher> dispatchers_;
     /** Shard d's owned core span; one all-cores span when unsharded. */
     std::vector<ShardSpan> spans_;
+    /** Shard d's dispatch view over its span (span-local lanes). */
+    std::vector<DispatchView> views_;
     /** Units steered to shard d, still crossing the front-tier pick
      *  latency (constant delay => FIFO per shard). */
     std::vector<std::deque<uint32_t>> front_pending_;
     /** Scratch for the front tier's per-shard load estimates. */
     std::vector<uint32_t> front_loads_;
     std::vector<Core> cores_;
-    std::vector<uint64_t> assigned_;
-    std::vector<uint64_t> snap_finished_;
-    std::vector<uint64_t> snap_quanta_;
     SimNanos last_refresh_ = -1;
-    std::vector<int> ties_;
 
     // Per-class grant statistics (SimResult::class_effective_quantum).
     size_t num_classes_ = 0;

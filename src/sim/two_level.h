@@ -6,9 +6,10 @@
  *
  * The dispatcher is a serial resource (dispatch_cost per job) applying a
  * blind load-balancing policy — JSQ with MSQ or random tie-breaking,
- * uniform random, or power-of-two choices. Each worker core schedules
- * its admitted jobs with processor sharing in `quantum`-sized slices
- * (switch_overhead charged per preemption), least-attained-service
+ * uniform random, or power-of-two choices — through the same pick as
+ * the runtime's dispatchers (common/dispatch_view.h). Each worker core
+ * schedules its admitted jobs with processor sharing in `quantum`-sized
+ * slices (switch_overhead charged per preemption), least-attained-service
  * first, or FCFS run-to-completion — through the same run queue and
  * per-class ledger as the runtime's workers (common/run_queue.h).
  * Responses leave directly from the worker (response_cost), matching the
@@ -24,6 +25,7 @@
 #define TQ_SIM_TWO_LEVEL_H
 
 #include "common/arrival.h"
+#include "common/dispatch_view.h"
 #include "common/dist.h"
 #include "common/run_queue.h"
 #include "sim/metrics.h"
@@ -31,13 +33,9 @@
 
 namespace tq::sim {
 
-/** Dispatcher load-balancing policies (paper sections 3.2, 5.4). */
-enum class LbPolicy {
-    JsqMsq,      ///< join-shortest-queue, Maximum-Serviced-Quanta ties
-    JsqRandom,   ///< join-shortest-queue, random ties
-    Random,      ///< uniform random core
-    PowerOfTwo,  ///< least-loaded of two random cores
-};
+/** Dispatcher load-balancing policies; one enum and one pick shared
+ *  with the runtime's dispatchers (common/dispatch_view.h). */
+using LbPolicy = ::tq::LbPolicy;
 
 /** Per-core quantum scheduling policies; one enum shared with the
  *  runtime's workers (common/run_queue.h). */

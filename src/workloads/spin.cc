@@ -23,8 +23,10 @@ spin_cycles(Cycles cycles)
     // Consumed-cycle accounting: count everything the loop does (work,
     // clock reads, probes — all genuine service time), but exclude the
     // time spent preempted. A yield is detected through the probe
-    // runtime's yield counter; the iteration it happens in is skipped
-    // from the accounting (conservative by one ~40ns chunk).
+    // runtime's yield counter; the iteration it happens in counts up to
+    // the probe's yield timestamp. Dropping that iteration instead
+    // livelocks a slice budget shorter than one chunk: every slice
+    // would yield in its first iteration and count nothing.
     ProbeState &ps = probe_state();
     Cycles consumed = 0;
     volatile uint64_t sink = 0;
@@ -35,8 +37,7 @@ spin_cycles(Cycles cycles)
         const uint64_t yields_before = ps.yields;
         tq_probe(); // may yield; time away must not count
         const Cycles now = rdcycles();
-        if (ps.yields == yields_before)
-            consumed += now - last;
+        consumed += (ps.yields == yields_before ? now : ps.yielded_at) - last;
         last = now;
     }
     sink = x;

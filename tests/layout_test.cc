@@ -13,11 +13,13 @@
  *  - Pick: property tests that DispatchView's single-pass pick matches
  *    the two-pass JSQ+MSQ reference (DESIGN.md §"Dispatcher")
  *    bit-for-bit over randomized length/quanta arrays, including the
- *    assigned<finished wrap-clamp path, the kLenMax saturation path,
- *    and the JSQ-random reservoir's RNG call sequence.
+ *    assigned<finished wrap-clamp path and the kLenMax saturation path;
+ *    and that every policy of the shared pick makes the simulator's
+ *    old decisions with the same RNG draws.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,7 +27,7 @@
 #include "conc/cacheline.h"
 #include "conc/mpmc_queue.h"
 #include "conc/spsc_ring.h"
-#include "runtime/dispatch_view.h"
+#include "common/dispatch_view.h"
 #include "runtime/lifecycle.h"
 #include "runtime/runtime.h"
 #include "runtime/worker_stats.h"
@@ -103,13 +105,13 @@ struct LayoutAudit
     }
 
     static const uint32_t *
-    view_len_data(const runtime::DispatchView &v)
+    view_len_data(const DispatchView &v)
     {
         return v.len_.get();
     }
 
     static const uint32_t *
-    view_quanta_data(const runtime::DispatchView &v)
+    view_quanta_data(const DispatchView &v)
     {
         return v.quanta_.get();
     }
@@ -138,7 +140,6 @@ struct LayoutAudit
 namespace {
 
 using namespace tq;
-using runtime::DispatchView;
 
 // ---------------------------------------------------------------------
 // Compile-time layout contract: one assert per audited struct, mirroring
@@ -356,14 +357,15 @@ TEST(DispatchPick, TieBreakOrderIsLenThenQuantaThenIndex)
 
 TEST(DispatchPick, WrapClampedLengthsBehaveAsZero)
 {
-    // refresh_dispatch_views() clamps the transient assigned<finished
-    // race to length 0 before storing; reproduce that arithmetic and
+    // The runtime's refresh clamps the transient assigned<finished
+    // race to length 0 (DispatchView::outstanding) before storing;
     // check the clamped worker wins.
     DispatchView view(8);
     for (size_t i = 0; i < 8; ++i)
         view.set_len(i, 3 + i);
+    EXPECT_EQ(DispatchView::outstanding(103, 100), 3u);
     const uint64_t assigned = 100, finished = 103; // worker ran ahead
-    view.set_len(5, assigned > finished ? assigned - finished : 0);
+    view.set_len(5, DispatchView::outstanding(assigned, finished));
     EXPECT_EQ(view.len(5), 0u);
     EXPECT_EQ(view.pick_jsq_msq(), 5);
     EXPECT_EQ(view.pick_jsq_msq(), view.pick_jsq_msq_scalar());
@@ -414,39 +416,137 @@ TEST(DispatchPick, BumpLenMatchesIncrementalScalarUse)
     }
 }
 
-TEST(DispatchPick, JsqRandomConsumesRngIdenticallyToTheOldLoop)
+/**
+ * The simulator's per-core pick as it stood before the engines shared
+ * DispatchView::pick() — TwoLevelSim::pick_core's body verbatim, with
+ * its members turned into parameters: `viewed` holds the global
+ * cores' assigned-minus-snapshot-finished lengths, `snap_quanta` their
+ * quanta snapshots, and `ties_` its scratch vector.
+ */
+int
+old_sim_pick_core(LbPolicy lb, const std::vector<long> &viewed,
+                  const std::vector<uint64_t> &snap_quanta, int first, int n,
+                  Rng &rng, std::vector<int> &ties_)
 {
-    // The original dispatcher loop, verbatim: one below(++tie_count) per
-    // tied worker in ascending index order. Seeded runs must reproduce.
-    Rng data_rng(1234);
-    for (int trial = 0; trial < 5000; ++trial) {
-        const size_t n = 1 + data_rng.below(48);
-        DispatchView view(n);
-        std::vector<uint64_t> lens(n);
-        for (size_t i = 0; i < n; ++i) {
-            lens[i] = data_rng.below(3); // dense ties
-            view.set_len(i, lens[i]);
+    const auto viewed_len = [&](int w) {
+        return viewed[static_cast<size_t>(w)];
+    };
+    switch (lb) {
+      case LbPolicy::Random:
+        return first +
+               static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+      case LbPolicy::PowerOfTwo: {
+        if (n == 1)
+            return first; // no second core to sample
+        const int a =
+            static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+        int b = static_cast<int>(
+            rng.below(static_cast<uint64_t>(n - 1)));
+        if (b >= a)
+            ++b;
+        const long qa = viewed_len(first + a);
+        const long qb = viewed_len(first + b);
+        if (qa != qb)
+            return first + (qa < qb ? a : b);
+        return first + (rng.bernoulli(0.5) ? a : b);
+      }
+      case LbPolicy::JsqRandom:
+      case LbPolicy::JsqMsq: {
+        long best_len = viewed_len(first);
+        for (int c = first + 1; c < first + n; ++c)
+            best_len = std::min(best_len, viewed_len(c));
+        // Collect ties (global core ids).
+        ties_.clear();
+        for (int c = first; c < first + n; ++c)
+            if (viewed_len(c) == best_len)
+                ties_.push_back(c);
+        if (ties_.size() == 1)
+            return ties_[0];
+        if (lb == LbPolicy::JsqRandom)
+            return ties_[rng.below(ties_.size())];
+        // MSQ: the core whose current jobs have received the most
+        // quanta is expected to finish them soonest (section 3.2).
+        int best = ties_[0];
+        uint64_t best_quanta = snap_quanta[static_cast<size_t>(best)];
+        for (size_t i = 1; i < ties_.size(); ++i) {
+            const int c = ties_[i];
+            const uint64_t q = snap_quanta[static_cast<size_t>(c)];
+            if (q > best_quanta) {
+                best = c;
+                best_quanta = q;
+            }
         }
-
-        const uint64_t seed = data_rng();
-        Rng view_rng(seed);
-        Rng ref_rng(seed);
-
-        const int got = view.pick_jsq_random(view_rng);
-
-        uint64_t best_len = ~0ULL;
-        for (size_t i = 0; i < n; ++i)
-            best_len = lens[i] < best_len ? lens[i] : best_len;
-        int want = -1;
-        uint64_t tie_count = 0;
-        for (size_t i = 0; i < n; ++i)
-            if (lens[i] == best_len && ref_rng.below(++tie_count) == 0)
-                want = static_cast<int>(i);
-
-        ASSERT_EQ(got, want) << "trial " << trial;
-        // Identical consumption: the next draw from both streams agrees.
-        ASSERT_EQ(view_rng(), ref_rng()) << "trial " << trial;
+        return best;
+      }
     }
+    return -1;
+}
+
+TEST(DispatchPick, EveryPolicyMatchesTheOldSimPickAndItsRngDraws)
+{
+    // The shared pick against the oracle above over random spans of a
+    // random cluster: same worker, and identical RNG consumption — the
+    // next draw from both streams agrees. Each trial also runs a
+    // pick-and-bump sequence, as a dispatcher does between refreshes.
+    Rng data_rng(1234);
+    std::vector<int> ties;
+    for (const LbPolicy lb : {LbPolicy::JsqMsq, LbPolicy::JsqRandom,
+                              LbPolicy::Random, LbPolicy::PowerOfTwo}) {
+        for (int trial = 0; trial < 5000; ++trial) {
+            const int n = 1 + static_cast<int>(data_rng.below(48));
+            const int first = static_cast<int>(data_rng.below(16));
+            // Small ranges force dense ties; larger ones spread lengths.
+            const uint64_t len_range = trial % 2 == 0 ? 3 : 50;
+            const uint64_t quanta_range = trial % 3 == 0 ? 2 : 1000;
+            std::vector<long> viewed(static_cast<size_t>(first + n), -1);
+            std::vector<uint64_t> quanta(viewed.size(), 0);
+            DispatchView view(static_cast<size_t>(n));
+            for (int i = 0; i < n; ++i) {
+                const size_t g = static_cast<size_t>(first + i);
+                viewed[g] = static_cast<long>(data_rng.below(len_range));
+                quanta[g] = data_rng.below(quanta_range);
+                view.set_len(static_cast<size_t>(i),
+                             static_cast<uint64_t>(viewed[g]));
+                view.set_quanta(static_cast<size_t>(i),
+                                static_cast<uint32_t>(quanta[g]));
+            }
+
+            const uint64_t seed = data_rng();
+            Rng view_rng(seed);
+            Rng ref_rng(seed);
+            for (int step = 0; step < 8; ++step) {
+                const int got = first + view.pick(lb, view_rng);
+                const int want = old_sim_pick_core(lb, viewed, quanta, first,
+                                                   n, ref_rng, ties);
+                ASSERT_EQ(got, want) << "policy " << static_cast<int>(lb)
+                                     << " trial " << trial << " step "
+                                     << step;
+                view.bump_len(static_cast<size_t>(got - first));
+                ++viewed[static_cast<size_t>(want)];
+            }
+            ASSERT_EQ(view_rng(), ref_rng())
+                << "policy " << static_cast<int>(lb) << " trial " << trial;
+        }
+    }
+}
+
+TEST(DispatchPick, JsqRandomDrawsOnlyOnRealTies)
+{
+    // A unique minimum decides without touching the RNG; a tie draws
+    // exactly once per decision, however many workers tie.
+    DispatchView view(6);
+    for (size_t i = 0; i < 6; ++i)
+        view.set_len(i, 4);
+    view.set_len(3, 1);
+    Rng rng(9), untouched(9);
+    EXPECT_EQ(view.pick(LbPolicy::JsqRandom, rng), 3);
+    EXPECT_EQ(rng(), untouched());
+
+    view.set_len(3, 4); // six-way tie
+    Rng one_draw(11), ref(11);
+    const int got = view.pick(LbPolicy::JsqRandom, one_draw);
+    EXPECT_EQ(got, static_cast<int>(ref.below(6)));
+    EXPECT_EQ(one_draw(), ref());
 }
 
 } // namespace

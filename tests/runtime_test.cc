@@ -562,20 +562,28 @@ TEST(Lifecycle, PushSpinLimitDropsInsteadOfBlocking)
     Runtime rt(cfg, spin_handler());
     rt.start();
     constexpr uint64_t kJobs = 64;
-    for (uint64_t i = 0; i < kJobs; ++i)
-        while (!rt.submit(make_spin_request(i, 500)))
-            std::this_thread::yield();
     // The bounded policy guarantees progress: every accepted job either
     // finishes (response delivered or dropped at the full TX ring) or is
     // dropped by the dispatcher once its push budget runs out. Nothing
     // blocks forever.
     const Cycles deadline = rdcycles() + ns_to_cycles(60e9);
-    const auto settled = [&] {
+    const auto settled = [&](uint64_t jobs) {
         return rt.worker(0).stats_line().finished.load() +
                    rt.abandoned_jobs() >=
-               kJobs;
+               jobs;
     };
-    while (!settled() && rdcycles() < deadline)
+    // Paced: job i is submitted only once the i before it have settled,
+    // so at most one job is ever in flight to the worker. Its 4-slot
+    // dispatch ring then never fills and only the TX ring can — a burst
+    // let the dispatcher shed the backlog as abandoned before the
+    // worker had overfilled TX, and the drop assertions below flaked.
+    for (uint64_t i = 0; i < kJobs; ++i) {
+        while (!settled(i) && rdcycles() < deadline)
+            std::this_thread::yield();
+        while (!rt.submit(make_spin_request(i, 500)))
+            std::this_thread::yield();
+    }
+    while (!settled(kJobs) && rdcycles() < deadline)
         std::this_thread::yield();
     EXPECT_EQ(rt.worker(0).stats_line().finished.load() +
                   rt.abandoned_jobs(),

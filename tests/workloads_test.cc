@@ -291,6 +291,32 @@ TEST(Spin, PreemptableAndAccountsOnlyConsumedTime)
     EXPECT_GE(running_ns, 90'000.0);
 }
 
+TEST(Spin, ProgressesWhenEverySliceIsShorterThanOneChunk)
+{
+    // Regression: spin_cycles dropped the iteration in which a probe
+    // yields from its consumed-time count. With a budget shorter than
+    // one work chunk every resume yields in its first iteration, so
+    // the spin counted nothing and never finished. Each resume must
+    // now count its work up to the yield.
+    reset_probe_state();
+    static thread_local Coroutine *self_ptr;
+    Coroutine job([&](Coroutine &self) {
+        self_ptr = &self;
+        spin_cycles(ns_to_cycles(2000));
+    });
+    bind_yield([](void *) { self_ptr->yield(); }, nullptr);
+    int resumes = 0;
+    while (!job.done() && resumes < 100000) {
+        arm_quantum(4); // a few cycles: expired by the first probe
+        job.resume();
+        ++resumes;
+    }
+    disarm_quantum();
+    EXPECT_TRUE(job.done()) << "no progress after " << resumes
+                            << " resumes";
+    EXPECT_GT(resumes, 1) << "every resume should have yielded";
+}
+
 // ---------------------------------------------------------- ZipfKeyGen --
 
 TEST(ZipfKeyGen, ScrambleIsABijectionOnTheKeyspace)
