@@ -16,10 +16,12 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <vector>
 
 #include "common/cycles.h"
 #include "conc/mpmc_queue.h"
+#include "conc/single_writer.h"
 #include "conc/spsc_ring.h"
 #include "coro/coroutine.h"
 #include "probe/probe.h"
@@ -102,26 +104,28 @@ BM_MpmcQueuePushPop(benchmark::State &state)
 BENCHMARK(BM_MpmcQueuePushPop);
 
 void
-BM_RingBatchPushPop(benchmark::State &state)
+BM_RingPopAll(benchmark::State &state)
 {
-    // Batched SPSC transfer: push_n/pop_n move the whole batch with one
-    // index acquire/release pair each. Per-item cost vs the scalar
-    // BM_SpscRingPushPop is the batching win; Arg is the batch size
-    // (Arg 1 prices the batch-API overhead itself).
+    // Batched SPSC collection: Arg scalar pushes, then one pop_all that
+    // takes them with a single producer-index acquire and consumer-index
+    // release (the TX-ring drain of Runtime::drain_responses). Per-item
+    // cost vs BM_SpscRingPushPop (a push and a pop per item) is the
+    // collection win; Arg 1 prices pop_all's own overhead.
     const size_t k = static_cast<size_t>(state.range(0));
     SpscRing<uint64_t> ring(1024);
-    std::vector<uint64_t> src(k), dst(k);
+    std::vector<uint64_t> dst;
+    dst.reserve(k);
     uint64_t v = 0;
-    for (size_t i = 0; i < k; ++i)
-        src[i] = v++;
     for (auto _ : state) {
-        ring.push_n(src.data(), k);
-        benchmark::DoNotOptimize(ring.pop_n(dst.data(), k));
+        for (size_t i = 0; i < k; ++i)
+            ring.push(v++);
+        dst.clear();
+        benchmark::DoNotOptimize(ring.pop_all(dst));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(k));
 }
-BENCHMARK(BM_RingBatchPushPop)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_RingPopAll)->Arg(1)->Arg(8)->Arg(32);
 
 void
 BM_RingPopInto(benchmark::State &state)
@@ -411,11 +415,12 @@ BENCHMARK(BM_PreemptGuard);
 void
 BM_TelemetryCounterInc(benchmark::State &state)
 {
-    // One relaxed fetch_add on a cache-line-padded per-worker counter:
-    // what a recording site pays besides the branch on telem != nullptr.
+    // One single-writer bump (relaxed load + relaxed store) on a
+    // cache-line-padded per-worker counter: what a recording site pays
+    // besides the branch on telem != nullptr.
     telemetry::WorkerCounters counters;
     for (auto _ : state)
-        counters.quanta.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(counters.quanta, 1);
     benchmark::DoNotOptimize(
         counters.quanta.load(std::memory_order_relaxed));
     state.SetItemsProcessed(state.iterations());
@@ -425,7 +430,8 @@ BENCHMARK(BM_TelemetryCounterInc);
 void
 BM_TelemetryHistogramAdd(benchmark::State &state)
 {
-    // Bucket index (clz) + three relaxed fetch_adds.
+    // Bucket index (clz) + three single-writer load+store bumps: the
+    // add every worker and dispatcher histogram takes.
     telemetry::CycleHistogram hist;
     uint64_t v = 1;
     for (auto _ : state) {
@@ -436,6 +442,40 @@ BM_TelemetryHistogramAdd(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelemetryHistogramAdd);
+
+void
+BM_TelemetryHistogramAddLocked(benchmark::State &state)
+{
+    // Reference for BM_TelemetryHistogramAdd, same layout and value
+    // stream: the locked add (clz + three relaxed fetch_adds, each a
+    // `lock xadd` on x86) that every histogram took before the
+    // single-writer rule. CI's perf-smoke gate requires the
+    // single-writer add to stay under 0.8x of this, measured in the
+    // same process.
+    struct LockedHistogram
+    {
+        std::atomic<uint64_t> buckets[telemetry::CycleHistogram::kBuckets]{};
+        std::atomic<uint64_t> sum{0};
+        std::atomic<uint64_t> count{0};
+
+        void
+        add(Cycles value)
+        {
+            const int b = telemetry::CycleHistogram::bucket_of(value);
+            buckets[b].fetch_add(1, std::memory_order_relaxed);
+            sum.fetch_add(value, std::memory_order_relaxed);
+            count.fetch_add(1, std::memory_order_relaxed);
+        }
+    } hist;
+    uint64_t v = 1;
+    for (auto _ : state) {
+        hist.add(v);
+        v = v * 2862933555777941757ULL + 3037000493ULL; // cheap LCG
+    }
+    benchmark::DoNotOptimize(hist.count.load(std::memory_order_relaxed));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryHistogramAddLocked);
 
 void
 BM_TelemetryTraceRecord(benchmark::State &state)

@@ -6,9 +6,9 @@
  * request to the least-loaded worker, and that each worker uses for its
  * private TX queue (paper section 4). It is a classic Lamport queue with
  * cached remote indices so the hot path touches only one shared cache
- * line per operation amortized. The batch APIs (push_n/pop_n) move up to
- * k items per index acquire/release pair, dividing that remaining shared
- * traffic by the batch size (DESIGN.md "Batched hot path").
+ * line per operation amortized. pop_all() moves everything published
+ * with one index acquire/release pair, dividing that remaining shared
+ * traffic by the backlog it collects (DESIGN.md "Batched hot path").
  *
  * Index layout (docs/cache_line_analysis.md): two lines, one per end.
  * Each end's published index shares its line with that same end's cached
@@ -21,8 +21,10 @@
 #ifndef TQ_CONC_SPSC_RING_H
 #define TQ_CONC_SPSC_RING_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -108,33 +110,6 @@ class SpscRing
     }
 
     /**
-     * Enqueue up to @p n values from @p src. Producer-side only.
-     *
-     * One acquire of the consumer index and one release of the producer
-     * index cover the whole batch, so the per-item cost of the shared
-     * cache-line traffic is amortized by the batch size.
-     *
-     * @return number of values actually enqueued (0 when full); the
-     *     first @c return values of @p src are moved from.
-     */
-    size_t
-    push_n(T *src, size_t n)
-    {
-        const size_t head = prod_.head.load(std::memory_order_relaxed);
-        size_t free = mask_ + 1 - (head - prod_.cached_tail);
-        if (free < n) {
-            prod_.cached_tail = cons_.tail.load(std::memory_order_acquire);
-            free = mask_ + 1 - (head - prod_.cached_tail);
-        }
-        const size_t count = n < free ? n : free;
-        for (size_t i = 0; i < count; ++i)
-            slots_[(head + i) & mask_] = std::move(src[i]);
-        if (count > 0)
-            prod_.head.store(head + count, std::memory_order_release);
-        return count;
-    }
-
-    /**
      * Dequeue the oldest element. Consumer-side only.
      * @return std::nullopt if the ring is empty.
      */
@@ -173,27 +148,32 @@ class SpscRing
     }
 
     /**
-     * Dequeue up to @p max_n elements into @p dst. Consumer-side only.
-     *
-     * Mirrors push_n(): one acquire of the producer index and one
-     * release of the consumer index per batch.
-     *
-     * @return number of elements dequeued (0 when empty), FIFO order.
+     * Append everything published so far to @p out, acquiring the
+     * producer index exactly once. Consumer-side only. Elements pushed
+     * after that acquire stay for the next call, so a collector that
+     * polls many rings pays one shared-index load per ring per poll.
+     * @return number of elements appended (0 when empty), FIFO order.
      */
     size_t
-    pop_n(T *dst, size_t max_n)
+    pop_all(std::vector<T> &out)
     {
         const size_t tail = cons_.tail.load(std::memory_order_relaxed);
-        size_t avail = cons_.cached_head - tail;
-        if (avail < max_n) {
-            cons_.cached_head = prod_.head.load(std::memory_order_acquire);
-            avail = cons_.cached_head - tail;
-        }
-        const size_t count = max_n < avail ? max_n : avail;
-        for (size_t i = 0; i < count; ++i)
-            dst[i] = std::move(slots_[(tail + i) & mask_]);
-        if (count > 0)
-            cons_.tail.store(tail + count, std::memory_order_release);
+        cons_.cached_head = prod_.head.load(std::memory_order_acquire);
+        const size_t count = cons_.cached_head - tail;
+        if (count == 0)
+            return 0;
+        // At most two contiguous runs: up to the end of the storage,
+        // then from its start. Range insert grows @p out geometrically
+        // and moves each element once.
+        const size_t first = tail & mask_;
+        const size_t run = std::min(count, capacity() - first);
+        const auto src = std::make_move_iterator(slots_.begin());
+        const auto at = static_cast<std::ptrdiff_t>(first);
+        const auto len = static_cast<std::ptrdiff_t>(run);
+        out.insert(out.end(), src + at, src + at + len);
+        out.insert(out.end(), src,
+                   src + static_cast<std::ptrdiff_t>(count - run));
+        cons_.tail.store(tail + count, std::memory_order_release);
         return count;
     }
 

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/cycles.h"
 #include "common/rng.h"
+#include "conc/single_writer.h"
 #include "fault/fault.h"
 #include "runtime/fanout.h"
 
@@ -54,10 +55,10 @@ run_open_loop(Server &server, const ServiceDist &dist,
 #endif
     auto collect = [&] {
         TQ_FAULT_SITE(LoadgenCollect);
-        // The server drains each worker TX ring with batched pop_n
-        // (one shared-index round trip per ring per burst), so the
-        // whole backlog lands here in one call. Shard responses pass
-        // through the gather stage; stats count logical completions.
+        // The server drains each worker TX ring with pop_all (one
+        // shared-index load per ring per call), so the whole backlog
+        // lands here in one call. Shard responses pass through the
+        // gather stage; stats count logical completions.
         responses.clear();
         server.drain(responses);
         for (const auto &r : responses) {
@@ -149,10 +150,9 @@ run_open_loop(Server &server, const ServiceDist &dist,
 
 #if defined(TQ_TELEMETRY_ENABLED)
     if (ct != nullptr) {
-        ct->submitted.fetch_add(stats.submitted, std::memory_order_relaxed);
-        ct->send_failures.fetch_add(stats.send_failures,
-                                    std::memory_order_relaxed);
-        ct->completed.fetch_add(stats.completed, std::memory_order_relaxed);
+        single_writer_add(ct->submitted, stats.submitted);
+        single_writer_add(ct->send_failures, stats.send_failures);
+        single_writer_add(ct->completed, stats.completed);
     }
 #endif
 

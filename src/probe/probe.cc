@@ -22,11 +22,11 @@ probe_expired(ProbeState &s, Cycles now)
 #if defined(TQ_TELEMETRY_ENABLED)
         // Record the deferral once per expiry, not once per probe that
         // re-observes the already-passed deadline inside the guard.
+        // Stamped with the probe's own read, like ProbeYield below.
         if (!s.yield_pending && s.telem != nullptr) {
-            s.telem->counters.guard_deferrals.fetch_add(
-                1, std::memory_order_relaxed);
-            s.telem->trace.record(telemetry::EventKind::GuardDeferredYield,
-                                  s.telem_job);
+            single_writer_add(s.telem->counters.guard_deferrals, 1);
+            s.telem->trace.record_at(
+                now, telemetry::EventKind::GuardDeferredYield, s.telem_job);
         }
 #endif
         s.yield_pending = true;
@@ -38,9 +38,9 @@ probe_expired(ProbeState &s, Cycles now)
     s.yielded_at = now;
 #if defined(TQ_TELEMETRY_ENABLED)
     if (s.telem != nullptr) {
-        s.telem->counters.yields.fetch_add(1, std::memory_order_relaxed);
-        s.telem->trace.record(telemetry::EventKind::ProbeYield,
-                              s.telem_job);
+        single_writer_add(s.telem->counters.yields, 1);
+        s.telem->trace.record_at(now, telemetry::EventKind::ProbeYield,
+                                 s.telem_job);
     }
 #endif
     // Push the deadline out so nested probes reached while unwinding to

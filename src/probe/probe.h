@@ -114,6 +114,17 @@ arm_quantum(Cycles quantum_cycles)
     probe_state().deadline = rdcycles() + quantum_cycles;
 }
 
+/**
+ * Start a quantum of @p quantum_cycles ending relative to @p now, a
+ * cycle-counter reading the scheduler has just taken anyway (the slice
+ * start it stamps into telemetry), so arming costs no second read.
+ */
+inline void
+arm_quantum_at(Cycles now, Cycles quantum_cycles)
+{
+    probe_state().deadline = now + quantum_cycles;
+}
+
 /** Disarm the quantum (e.g. while the scheduler itself runs). */
 inline void
 disarm_quantum()

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/cycles.h"
+#include "conc/single_writer.h"
 #include "fault/fault.h"
 #include "telemetry/events.h"
 
@@ -223,29 +224,20 @@ Runtime::submit_to_shard(const Request &req, int shard)
 size_t
 Runtime::drain_responses(std::vector<Response> &out)
 {
-    // Probe occupancy first so one reserve covers the burst: under a
-    // drain storm the collector used to reallocate log2(n) times while
-    // popping one response at a time. The probe is racy-low (workers
-    // keep pushing), so pop_n keeps collecting past it until a ring
-    // reads empty.
-    size_t expected = out.size();
-    for (const auto &w : workers_)
-        expected += w->tx_ring().size();
-    out.reserve(expected);
-
+    // One acquire of each TX ring's producer index per call: pop_all
+    // takes what was published at that load and leaves later pushes for
+    // the next call.
     const size_t before = out.size();
-    for (auto &w : workers_) {
-        auto &ring = w->tx_ring();
-        for (;;) {
-            const size_t old = out.size();
-            const size_t want = std::max<size_t>(ring.size(), 1);
-            out.resize(old + want);
-            const size_t got = ring.pop_n(&out[old], want);
-            out.resize(old + got);
-            if (got < want)
-                break; // ring drained (or a partial final batch)
-        }
-    }
+    for (auto &w : workers_)
+        w->tx_ring().pop_all(out);
+#if defined(__x86_64__)
+    // RDTSC is not ordered after earlier loads: without this fence the
+    // caller's next rdcycles() can execute before the index loads above
+    // complete and stamp a response as collected before the worker
+    // stamped it done. LFENCE waits for them — once per call, not per
+    // response.
+    _mm_lfence();
+#endif
     return out.size() - before;
 }
 
@@ -455,7 +447,7 @@ Runtime::steal_into(DispatcherShard &sh, Request *buf, size_t buf_len)
     if (got > 0) {
         telemetry::DispatcherTelemetry &dt =
             metrics_->dispatcher(sh.index);
-        dt.steals.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(dt.steals, 1);
         dt.steal_batch.add(got);
     }
 #endif
@@ -494,24 +486,26 @@ Runtime::dispatch_batch(DispatcherShard &sh, Request *reqs, size_t n)
 #if defined(TQ_TELEMETRY_ENABLED)
             // Stamp the handoff *before* the push: once the request
             // is in the ring the worker may already be reading it.
+            // The same read stamps JobDispatched, so the event is
+            // taken before the worker can see the request.
             const Cycles dispatched_at = rdcycles();
             req.dispatch_cycles = dispatched_at;
 #endif
             if (!push_request(sh, target, req))
                 continue; // dropped (counted); the outer loop
                           // re-checks the phase per batch
-            assigned_[static_cast<size_t>(target)].fetch_add(
-                1, std::memory_order_relaxed);
-            sh.counters.dispatched_total.fetch_add(
-                1, std::memory_order_relaxed);
+            // Single writer: only this shard dispatches to its span.
+            single_writer_add(assigned_[static_cast<size_t>(target)], 1);
+            single_writer_add(sh.counters.dispatched_total, 1);
             ++pushed;
 #if defined(TQ_TELEMETRY_ENABLED)
             telemetry::DispatcherTelemetry &dt =
                 metrics_->dispatcher(sh.index);
-            dt.dispatched.fetch_add(1, std::memory_order_relaxed);
+            single_writer_add(dt.dispatched, 1);
             dt.dispatch_cycles.add(dispatched_at - req.arrival_cycles);
-            dt.trace.record(telemetry::EventKind::JobDispatched, req.id,
-                            static_cast<uint32_t>(target));
+            dt.trace.record_at(dispatched_at,
+                               telemetry::EventKind::JobDispatched, req.id,
+                               static_cast<uint32_t>(target));
 #endif
         }
     }

@@ -221,7 +221,11 @@ class Runtime
 
     /**
      * Collect available responses from every worker's TX ring into
-     * @p out. Single consumer. @return number collected.
+     * @p out: what each ring had published when this call loaded its
+     * producer index (once per ring per call). Single consumer. A
+     * cycle-counter read the caller takes after the call returns is
+     * ordered after those loads, so it never precedes a collected
+     * response's done_cycles. @return number collected.
      */
     size_t drain_responses(std::vector<Response> &out);
 

@@ -1,10 +1,10 @@
 #include "runtime/worker.h"
 
-#include <algorithm>
 #include <thread>
 
 #include "common/check.h"
 #include "common/cycles.h"
+#include "conc/single_writer.h"
 #include "fault/fault.h"
 #include "probe/probe.h"
 
@@ -64,46 +64,40 @@ Worker::Worker(int id, const RuntimeConfig &cfg, Handler handler,
 void
 Worker::poll_admissions()
 {
-    // Batched admission: pop as many requests as there are idle task
-    // slots with one shared-index round trip, instead of one pop (and
-    // one acquire of the producer index) per request.
-    Request pending[kAdmitBatch];
+    // Pop straight into idle task slots: one copy per request and no
+    // staging buffer to construct per poll (idle polls included). The
+    // producer index is acquired only when the consumer's cached
+    // snapshot of it runs out (SpscRing::pop_into), so a burst still
+    // costs one shared-index round trip.
     while (!idle_.empty()) {
-        const size_t want = std::min(idle_.size(), kAdmitBatch);
-        const size_t got = dispatch_ring_.pop_n(pending, want);
-        for (size_t i = 0; i < got; ++i) {
-            Task *task = idle_.back();
-            idle_.pop_back();
-            task->req = pending[i];
-            task->quanta = 0;
-            task->admit_seq = admit_seq_next_++;
-            task->service_cycles = 0;
-            task->started = false;
-            task->job_done = false;
-            task->has_job = true;
-            if (ledger_) {
-                // Quantum resolution point (DESIGN.md §4i): one relaxed
-                // table load per job, here at admission. Every later
-                // probe/yield decision compares against the Task's
-                // precomputed cycle budget — a controller update never
-                // reaches a job mid-service.
-                const int slot =
-                    ClassQuantumTable::slot_of(pending[i].job_class);
-                task->cls = static_cast<uint8_t>(slot);
-                task->budget_cycles = quanta_table_->load(slot);
-                ledger_->admit(slot);
-            } else {
-                task->budget_cycles = quantum_cycles_;
-            }
-            runq_.push(task);
-            busy_count_.fetch_add(1, std::memory_order_relaxed);
-#if defined(TQ_TELEMETRY_ENABLED)
-            telem_->counters.admitted.fetch_add(1,
-                                               std::memory_order_relaxed);
-#endif
-        }
-        if (got < want)
+        Task *task = idle_.back();
+        if (!dispatch_ring_.pop_into(task->req))
             return; // ring drained
+        idle_.pop_back();
+        task->quanta = 0;
+        task->admit_seq = admit_seq_next_++;
+        task->service_cycles = 0;
+        task->started = false;
+        task->job_done = false;
+        task->has_job = true;
+        if (ledger_) {
+            // Quantum resolution point (DESIGN.md §4i): one relaxed
+            // table load per job, here at admission. Every later
+            // probe/yield decision compares against the Task's
+            // precomputed cycle budget — a controller update never
+            // reaches a job mid-service.
+            const int slot = ClassQuantumTable::slot_of(task->req.job_class);
+            task->cls = static_cast<uint8_t>(slot);
+            task->budget_cycles = quanta_table_->load(slot);
+            ledger_->admit(slot);
+        } else {
+            task->budget_cycles = quantum_cycles_;
+        }
+        runq_.push(task);
+        single_writer_add(busy_count_, 1);
+#if defined(TQ_TELEMETRY_ENABLED)
+        single_writer_add(telem_->counters.admitted, 1);
+#endif
     }
 }
 
@@ -118,7 +112,7 @@ Worker::select_task()
         const int starved = ledger_->starved();
         Task *task = nullptr;
         if (starved >= 0 && runq_.extract_class(starved, task)) {
-            starvation_promotions_.fetch_add(1, std::memory_order_relaxed);
+            single_writer_add(starvation_promotions_, 1);
             return task;
         }
     }
@@ -149,20 +143,22 @@ Worker::run_one_slice()
     }
 #if defined(TQ_TELEMETRY_ENABLED)
     bind_telemetry(telem_, task->req.id);
+    // One clock read per slice edge: slice_start arms the deadline and
+    // stamps QuantumStart; slice_end (below) ends the slice and, when
+    // the job is done, is its Response::done_cycles and JobFinished
+    // stamp.
     const Cycles slice_start = rdcycles();
     if (!task->started) {
         task->started = true;
         // Queueing stage: dispatcher handoff -> first quantum start.
         telem_->queue_cycles.add(slice_start - task->req.dispatch_cycles);
     }
-    telem_->counters.quanta.fetch_add(1, std::memory_order_relaxed);
-    telem_->trace.record(telemetry::EventKind::QuantumStart, task->req.id,
-                         task->quanta);
+    single_writer_add(telem_->counters.quanta, 1);
+    telem_->trace.record_at(slice_start, telemetry::EventKind::QuantumStart,
+                            task->req.id, task->quanta);
     if (ledger_) {
-        telem_->class_grants[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
-        telem_->class_granted_cycles[task->cls].fetch_add(
-            budget, std::memory_order_relaxed);
+        single_writer_add(telem_->class_grants[task->cls], 1);
+        single_writer_add(telem_->class_granted_cycles[task->cls], budget);
     }
 #else
     // Deficit accounting is scheduler state, not telemetry: it needs
@@ -172,10 +168,15 @@ Worker::run_one_slice()
     if (ledger_)
         slice_start = rdcycles();
 #endif
-    if (cfg_.work == WorkPolicy::Fcfs)
+    if (cfg_.work == WorkPolicy::Fcfs) {
         disarm_quantum(); // FCFS: probes never fire
-    else
-        arm_quantum(budget);
+    } else {
+#if defined(TQ_TELEMETRY_ENABLED)
+        arm_quantum_at(slice_start, budget);
+#else
+        arm_quantum(budget); // a fresh read: the fixed path took none
+#endif
+    }
     task->coro->resume();
     disarm_quantum();
 #if defined(TQ_TELEMETRY_ENABLED)
@@ -205,13 +206,17 @@ Worker::run_one_slice()
     }
 
     if (task->job_done) {
-        complete(task);
+#if defined(TQ_TELEMETRY_ENABLED)
+        complete(task, slice_end);
+#else
+        complete(task, rdcycles());
+#endif
     } else {
         // Preempted: account the serviced quantum and requeue — tail of
         // the PS ring, or LAS reinsert with the bumped quanta.
         ++task->quanta;
-        stats_.current_quanta.fetch_add(1, std::memory_order_relaxed);
-        stats_.total_quanta.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(stats_.current_quanta, 1);
+        single_writer_add(stats_.total_quanta, 1);
         runq_.push(task);
     }
 }
@@ -239,13 +244,13 @@ Worker::push_response(const Response &resp)
 }
 
 void
-Worker::complete(Task *task)
+Worker::complete(Task *task, Cycles done)
 {
     Response resp;
     resp.id = task->req.id;
     resp.gen_cycles = task->req.gen_cycles;
     resp.arrival_cycles = task->req.arrival_cycles;
-    resp.done_cycles = rdcycles();
+    resp.done_cycles = done;
     resp.job_class = task->req.job_class;
     resp.worker = id_;
     resp.result = task->result;
@@ -256,26 +261,25 @@ Worker::complete(Task *task)
     // Publish to the dispatcher's cache line even when the response was
     // dropped: the job *did* finish, and the JSQ view must not leak
     // queue length.
-    stats_.finished.fetch_add(1, std::memory_order_relaxed);
-    stats_.current_quanta.fetch_sub(task->quanta,
-                                    std::memory_order_relaxed);
+    single_writer_add(stats_.finished, 1);
+    single_writer_sub(stats_.current_quanta, task->quanta);
     if (ledger_)
         ledger_->retire(task->cls);
 #if defined(TQ_TELEMETRY_ENABLED)
-    telem_->counters.finished.fetch_add(1, std::memory_order_relaxed);
+    single_writer_add(telem_->counters.finished, 1);
     telem_->service_cycles.add(task->service_cycles);
-    telem_->trace.record(telemetry::EventKind::JobFinished, task->req.id);
+    telem_->trace.record_at(resp.done_cycles,
+                            telemetry::EventKind::JobFinished, task->req.id);
     if (ledger_) {
         // Per-class controller feed (DESIGN.md §4i): attained service
         // and sojourn keyed by the quantum-table slot.
-        telem_->class_finished[task->cls].fetch_add(
-            1, std::memory_order_relaxed);
+        single_writer_add(telem_->class_finished[task->cls], 1);
         telem_->class_service[task->cls].add(task->service_cycles);
         telem_->class_sojourn[task->cls].add(resp.done_cycles -
                                              task->req.arrival_cycles);
     }
 #endif
-    busy_count_.fetch_sub(1, std::memory_order_relaxed);
+    single_writer_sub(busy_count_, 1);
     idle_.push_back(task);
 }
 

@@ -11,8 +11,11 @@
  * quantum, so compiler-style probes inside the handler preempt the task
  * back to the scheduler.
  *
- * Admissions drain the dispatch ring in batches (SpscRing::pop_n — one
- * shared-index acquire/release pair per batch). Run-queue selection and
+ * Admissions pop the dispatch ring straight into idle task slots
+ * (SpscRing::pop_into, whose cached producer index makes a burst one
+ * shared-index acquire). Every counter the worker publishes has the
+ * worker as its only writer and is bumped with a relaxed load+store
+ * (conc/single_writer.h), never a locked RMW. Run-queue selection and
  * the per-class ledger are the per-core scheduling core shared with the
  * simulator (common/run_queue.h): PS rotates a FIFO ring, FCFS runs its
  * front to completion, LAS pops the (quanta, admit_seq) minimum — the
@@ -208,13 +211,10 @@ class Worker
         Cycles cycles = 0;
     };
 
-    /** Admission batch: enough to refill every default task slot in one
-     *  ring round trip without outgrowing the stack buffer. */
-    static constexpr size_t kAdmitBatch = 32;
-
     void poll_admissions();
     void run_one_slice();
-    void complete(Task *task);
+    /** Emit @p task's response, stamped @p done, and recycle its slot. */
+    void complete(Task *task, Cycles done);
     bool push_response(const Response &resp);
 
     /** Pop the next task per policy, or the most-starved class's best

@@ -21,7 +21,8 @@ namespace tq::runtime {
 
 /**
  * One worker's shared statistics cache line. Writer: the worker, and
- * only the worker — the dispatcher and stats readers load it but never
+ * only the worker, with relaxed load+store bumps (conc/single_writer.h)
+ * — the dispatcher and stats readers load it but never
  * store, so the line ping-pongs at the worker's completion rate, not
  * the (much higher) dispatch rate. The three counters live together
  * deliberately: the dispatcher's JSQ/MSQ refresh wants `finished` and

@@ -5,7 +5,11 @@
  *
  * Layout follows the dispatcher/worker counter contract of the paper
  * (section 4): every writer owns its own cache line, readers only load,
- * and nothing on the hot path takes a lock or issues an ordered RMW.
+ * and nothing on the hot path takes a lock or issues a locked RMW.
+ * Every worker, dispatcher and client instrument has exactly one
+ * writer, so it is bumped with a relaxed load plus a relaxed store
+ * (conc/single_writer.h) rather than fetch_add, which on x86 is a
+ * `lock xadd` even when relaxed.
  * Snapshots are therefore safe *while the runtime is running*: they are
  * per-counter linearizable (each value is a single relaxed load) but not
  * a cross-counter atomic cut — totals observed across counters may be
@@ -28,6 +32,7 @@
 #include "common/cycles.h"
 #include "common/histogram.h"
 #include "conc/cacheline.h"
+#include "conc/single_writer.h"
 #include "telemetry/trace_ring.h"
 
 namespace tq::telemetry {
@@ -40,11 +45,11 @@ inline constexpr int kMaxTrackedClasses = 8;
 /**
  * Lock-free log2-bucketed histogram of cycle counts.
  *
- * add() is wait-free (three relaxed fetch_adds on writer-owned lines in
- * the common case of one writer per instance); any thread may snapshot
- * concurrently. Bucket i counts values in [2^i, 2^(i+1)), with values 0
- * and 1 sharing bucket 0 and values >= 2^(kBuckets-1) clamped into the
- * last bucket.
+ * Each instance has one writer thread, so add() is three relaxed
+ * load+store pairs, no locked RMW; any thread may snapshot
+ * concurrently. Bucket i counts values in
+ * [2^i, 2^(i+1)), with values 0 and 1 sharing bucket 0 and values
+ * >= 2^(kBuckets-1) clamped into the last bucket.
  */
 class CycleHistogram
 {
@@ -57,13 +62,14 @@ class CycleHistogram
      *  writer (docs/cache_line_analysis.md). */
     static constexpr int kBuckets = 40;
 
-    /** Record one cycle-valued sample. Wait-free. */
+    /** Record one cycle-valued sample. The calling thread must be this
+     *  instance's only writer. Wait-free. */
     void
     add(Cycles value)
     {
-        buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(value, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
+        single_writer_add(buckets_[bucket_of(value)], 1);
+        single_writer_add(sum_, value);
+        single_writer_add(count_, 1);
     }
 
     /** Bucket index a value lands in (exposed for tests). */
@@ -199,7 +205,9 @@ class DispatcherTelemetry
     TraceRing trace;                ///< JobDispatched events
 };
 
-/** Client-side (load generator) telemetry. */
+/** Client-side (load generator) telemetry. net::run_open_loop is its
+ *  single writer: it records from its one thread, which is also the
+ *  single response consumer Runtime::drain_responses requires. */
 class ClientTelemetry
 {
   public:

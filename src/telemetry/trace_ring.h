@@ -9,8 +9,9 @@
  * microsecond-scale scheduler. Drops are counted so a post-run drain can
  * report exactly how much of the window is missing.
  *
- * Concurrency contract: record() may be called by exactly one producer
- * thread (the worker or dispatcher that owns the ring); drain() and
+ * Concurrency contract: record() and record_at() may be called by
+ * exactly one producer thread (the worker or dispatcher that owns the
+ * ring), which is also the drop counter's only writer; drain() and
  * dropped() may be called by one consumer thread, concurrently with the
  * producer.
  */
@@ -21,7 +22,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/cycles.h"
 #include "conc/cacheline.h"
+#include "conc/single_writer.h"
 #include "conc/spsc_ring.h"
 #include "telemetry/events.h"
 
@@ -47,14 +50,27 @@ class TraceRing
     void
     record(EventKind kind, uint64_t job, uint32_t arg = 0)
     {
+        record_at(rdcycles(), kind, job, arg);
+    }
+
+    /**
+     * Record one event stamped @p tsc — a cycle-counter reading the
+     * caller already took for its own use (a slice edge, a handoff
+     * stamp), so the event and that use share one clock read.
+     * Otherwise exactly record(). Keep a ring's stamps in recording
+     * order: drain() hands them out FIFO.
+     */
+    void
+    record_at(Cycles tsc, EventKind kind, uint64_t job, uint32_t arg = 0)
+    {
         TraceEvent ev;
-        ev.tsc = rdcycles();
+        ev.tsc = tsc;
         ev.job = job;
         ev.arg = arg;
         ev.kind = kind;
         ev.tid = tid_;
         if (!ring_.push(ev))
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+            single_writer_add(dropped_, 1); // the producer is its writer
     }
 
     /**

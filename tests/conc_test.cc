@@ -94,17 +94,13 @@ TEST_P(SpscRingCapacities, TwoThreadFifoStress)
 INSTANTIATE_TEST_SUITE_P(Capacities, SpscRingCapacities,
                          ::testing::Values(1, 2, 8, 64, 1024));
 
-TEST(SpscRing, BatchAndScalarOpsInterleaveFifo)
+TEST(SpscRing, PopAllAndScalarOpsInterleaveFifo)
 {
-    // Mixed scalar push / push_n / pop / pop_into / pop_n must observe
-    // one FIFO stream: the batch APIs move the same indices the scalar
-    // ones do.
+    // Mixed scalar push / pop / pop_into / pop_all must observe one
+    // FIFO stream: pop_all moves the same indices the scalar ops do.
     SpscRing<int> ring(16);
-    int src[4] = {0, 1, 2, 3};
-    EXPECT_EQ(ring.push_n(src, 4), 4u);
-    EXPECT_TRUE(ring.push(4));
-    int src2[3] = {5, 6, 7};
-    EXPECT_EQ(ring.push_n(src2, 3), 3u);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(ring.push(i));
 
     auto v = ring.pop();
     ASSERT_TRUE(v.has_value());
@@ -112,68 +108,62 @@ TEST(SpscRing, BatchAndScalarOpsInterleaveFifo)
     int out = -1;
     ASSERT_TRUE(ring.pop_into(out));
     EXPECT_EQ(out, 1);
-    int dst[8] = {};
-    EXPECT_EQ(ring.pop_n(dst, 8), 6u) << "only six left";
+    std::vector<int> dst;
+    EXPECT_EQ(ring.pop_all(dst), 6u) << "only six left";
+    ASSERT_EQ(dst.size(), 6u);
     for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(dst[i], i + 2);
+        EXPECT_EQ(dst[static_cast<size_t>(i)], i + 2);
     EXPECT_TRUE(ring.empty());
+    ASSERT_TRUE(ring.push(8));
+    EXPECT_EQ(ring.pop().value_or(-1), 8) << "scalar ops resume after pop_all";
 }
 
-TEST(SpscRing, BatchOpsArePartialOnFullAndEmpty)
+TEST(SpscRing, PopAllTakesEverythingPublishedAcrossTheWrap)
+{
+    // pop_all appends what the producer had published at its one index
+    // load, in FIFO order, including a run that wraps past the end of
+    // the slot storage.
+    SpscRing<int> ring(8);
+    std::vector<int> out = {-1};
+    EXPECT_EQ(ring.pop_all(out), 0u) << "empty ring appends nothing";
+    EXPECT_EQ(out.size(), 1u);
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(ring.push(i));
+    for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(ring.pop().value_or(-1), i); // tail now at slot 5
+    for (int i = 6; i < 13; ++i)
+        ASSERT_TRUE(ring.push(i)); // slots 6, 7, then 0..4: wraps
+    EXPECT_EQ(ring.pop_all(out), 8u);
+    ASSERT_EQ(out.size(), 9u);
+    EXPECT_EQ(out[0], -1) << "appends, never overwrites";
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(out[static_cast<size_t>(i) + 1], i + 5);
+    EXPECT_TRUE(ring.empty());
+    EXPECT_TRUE(ring.push(13)) << "the consumer index was released";
+}
+
+TEST(SpscRing, FullAndEmptyRingsRefuse)
 {
     SpscRing<int> ring(4);
-    int src[6] = {0, 1, 2, 3, 4, 5};
-    EXPECT_EQ(ring.push_n(src, 6), 4u) << "capacity-limited partial push";
-    EXPECT_EQ(ring.push_n(src, 1), 0u) << "full ring accepts nothing";
-
-    int dst[6] = {};
-    EXPECT_EQ(ring.pop_n(dst, 6), 4u) << "drains what is there";
     for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(dst[i], i);
-    EXPECT_EQ(ring.pop_n(dst, 6), 0u) << "empty ring yields nothing";
+        ASSERT_TRUE(ring.push(i));
+    EXPECT_FALSE(ring.push(4)) << "full ring accepts nothing";
+
+    std::vector<int> dst;
+    EXPECT_EQ(ring.pop_all(dst), 4u) << "drains what is there";
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(dst[static_cast<size_t>(i)], i);
+    EXPECT_EQ(ring.pop_all(dst), 0u) << "empty ring yields nothing";
+    EXPECT_EQ(dst.size(), 4u);
     int out = -1;
     EXPECT_FALSE(ring.pop_into(out));
     EXPECT_EQ(out, -1) << "failed pop_into must not write";
 }
 
-TEST(SpscRing, TwoThreadBatchProducerScalarConsumer)
+TEST(SpscRing, TwoThreadScalarProducerPopAllConsumer)
 {
-    // push_n on one thread against scalar pop on the other: the batch
-    // publish (one release store for the whole batch) must never expose
-    // unwritten slots.
-    SpscRing<uint64_t> ring(64);
-    constexpr uint64_t kCount = 60000;
-
-    std::thread producer([&] {
-        uint64_t batch[16];
-        uint64_t next = 0;
-        while (next < kCount) {
-            const size_t want =
-                std::min<uint64_t>(16, kCount - next);
-            for (size_t i = 0; i < want; ++i)
-                batch[i] = next + i;
-            const size_t pushed = ring.push_n(batch, want);
-            next += pushed;
-            if (pushed == 0)
-                std::this_thread::yield();
-        }
-    });
-    uint64_t expected = 0;
-    while (expected < kCount) {
-        auto v = ring.pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(*v, expected) << "FIFO order violated";
-        ++expected;
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, TwoThreadScalarProducerBatchConsumer)
-{
+    // pop_all against a concurrently pushing producer: every call takes
+    // a FIFO prefix of what was published, never an unwritten slot.
     SpscRing<uint64_t> ring(64);
     constexpr uint64_t kCount = 60000;
 
@@ -183,19 +173,15 @@ TEST(SpscRing, TwoThreadScalarProducerBatchConsumer)
                 std::this_thread::yield();
         }
     });
-    uint64_t batch[24];
-    uint64_t expected = 0;
-    while (expected < kCount) {
-        const size_t got = ring.pop_n(batch, 24);
-        if (got == 0) {
+    std::vector<uint64_t> got;
+    while (got.size() < kCount) {
+        if (ring.pop_all(got) == 0)
             std::this_thread::yield();
-            continue;
-        }
-        for (size_t i = 0; i < got; ++i)
-            ASSERT_EQ(batch[i], expected + i) << "FIFO order violated";
-        expected += got;
     }
     producer.join();
+    ASSERT_EQ(got.size(), kCount);
+    for (uint64_t i = 0; i < kCount; ++i)
+        ASSERT_EQ(got[i], i) << "FIFO order violated";
     EXPECT_TRUE(ring.empty());
 }
 

@@ -55,6 +55,23 @@ TEST(Probe, YieldsOnceDeadlinePasses)
     EXPECT_EQ(probe_state().yields, 2u);
 }
 
+TEST(Probe, ArmQuantumAtCountsFromTheGivenReading)
+{
+    // The scheduler arms from the clock read it already took for the
+    // slice-start stamp: the deadline is that reading plus the budget,
+    // not a later fresh read plus the budget.
+    reset_probe_state();
+    int yields = 0;
+    bind_yield([](void *arg) { ++*static_cast<int *>(arg); }, &yields);
+    const Cycles start = rdcycles();
+    arm_quantum_at(start, 1000);
+    EXPECT_EQ(probe_state().deadline, start + 1000);
+    // A reading far in the past arms an already-expired quantum.
+    arm_quantum_at(0, 1);
+    tq_probe();
+    EXPECT_EQ(yields, 1);
+}
+
 TEST(Probe, DisarmPreventsYield)
 {
     reset_probe_state();

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conc/single_writer.h"
 #include "runtime/runtime.h"
 #include "runtime/worker_stats.h"
 #include "telemetry/telemetry.h"
@@ -96,11 +97,48 @@ TEST(TraceRing, OverflowDropsInsteadOfBlocking)
     EXPECT_EQ(out[0].job, 99u);
 }
 
+TEST(TraceRing, ConcurrentDrainAccountsForEveryRecordedEvent)
+{
+    // One producer overflows a small ring while a consumer drains it
+    // concurrently: every recorded event is either drained or counted
+    // dropped — exactly, with the drop counter bumped by its single
+    // writer's load+store — and what is drained stays in FIFO order.
+    constexpr uint64_t kEvents = 200'000;
+    TraceRing ring(1, 64);
+    std::atomic<bool> done{false};
+    std::thread producer([&] {
+        for (uint64_t job = 0; job < kEvents; ++job)
+            ring.record_at(job, EventKind::QuantumStart, job);
+        done.store(true, std::memory_order_release);
+    });
+
+    std::vector<TraceEvent> out;
+    uint64_t dropped_seen = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        ring.drain(out);
+        const uint64_t d = ring.dropped();
+        EXPECT_GE(d, dropped_seen) << "the drop count never goes back";
+        dropped_seen = d;
+        std::this_thread::yield(); // let the producer overrun the ring
+    }
+    producer.join();
+    ring.drain(out);
+
+    EXPECT_EQ(out.size() + ring.dropped(), kEvents);
+    EXPECT_GT(ring.dropped(), 0u) << "the ring never overflowed";
+    for (size_t i = 1; i < out.size(); ++i)
+        ASSERT_LT(out[i - 1].job, out[i].job) << "FIFO order at " << i;
+    for (const TraceEvent &ev : out)
+        ASSERT_EQ(ev.tsc, ev.job) << "record_at keeps the given stamp";
+}
+
 TEST(MetricsRegistry, SnapshotWhileRunning)
 {
     // One writer per worker slot hammers counters and histograms while
     // the main thread snapshots continuously: snapshots must never
     // tear (decreasing totals) and the final snapshot must be exact.
+    // Run under TSan too: the single-writer load+store must not race
+    // the concurrent readers.
     constexpr int kWorkers = 2;
     constexpr uint64_t kIters = 200'000;
     MetricsRegistry reg(kWorkers, 64);
@@ -112,10 +150,11 @@ TEST(MetricsRegistry, SnapshotWhileRunning)
             while (!go.load())
                 std::this_thread::yield();
             WorkerTelemetry &wt = reg.worker(w);
+            // The runtime's own single-writer bump: a relaxed load plus
+            // a relaxed store per counter, no locked RMW.
             for (uint64_t i = 0; i < kIters; ++i) {
-                wt.counters.quanta.fetch_add(1, std::memory_order_relaxed);
-                wt.counters.finished.fetch_add(1,
-                                               std::memory_order_relaxed);
+                single_writer_add(wt.counters.quanta, 1);
+                single_writer_add(wt.counters.finished, 1);
                 wt.queue_cycles.add(i & 0xffff);
                 wt.service_cycles.add(i & 0xff);
             }
@@ -297,6 +336,83 @@ TEST(RuntimeTelemetry, EndToEndSnapshotAndTrace)
     EXPECT_EQ(dispatched, kJobs);
     EXPECT_EQ(finishes, kJobs);
     EXPECT_EQ(static_cast<uint64_t>(starts), snap.quanta);
+}
+
+TEST(RuntimeTelemetry, SliceEdgesShareOneClockRead)
+{
+    // The worker reads the clock once per slice edge: the slice-start
+    // read stamps QuantumStart (and arms the deadline), the slice-end
+    // read of a job's last slice is both its Response::done_cycles and
+    // its JobFinished stamp, and the dispatcher's handoff read stamps
+    // JobDispatched. So, per job: JobFinished.tsc == done_cycles, and
+    // every QuantumStart falls between JobDispatched and done_cycles.
+    //
+    // The last bound compares reads on two cores. The dispatcher stamps
+    // before its release push, but RDTSC is not ordered after earlier
+    // loads, so the worker's slice-start read may execute before its
+    // acquire of the ring index completes (the same reordering
+    // Runtime::drain_responses fences against, measured there at up to
+    // ~280 cycles), and cross-core TSCs may differ slightly. The bound
+    // allows kCrossCoreSlack for that; the same-thread checks are exact.
+    constexpr Cycles kCrossCoreSlack = 2000;
+    if (!kEnabled)
+        GTEST_SKIP() << "no trace events in -DTQ_TELEMETRY=OFF builds";
+    constexpr uint64_t kJobs = 40;
+    runtime::RuntimeConfig cfg;
+    cfg.num_workers = 2;
+    cfg.quantum_us = 2.0;
+    runtime::Runtime rt(cfg, [](const runtime::Request &req) {
+        workloads::spin_for(static_cast<double>(req.payload));
+        return req.id;
+    });
+    rt.start();
+    for (uint64_t i = 0; i < kJobs; ++i) {
+        runtime::Request r;
+        r.id = i;
+        r.gen_cycles = rdcycles();
+        r.payload = i % 4 == 0 ? 9'000 : 500; // some jobs span quanta
+        ASSERT_TRUE(rt.submit(r));
+    }
+    std::vector<runtime::Response> responses;
+    while (responses.size() < kJobs) {
+        rt.drain_responses(responses);
+        std::this_thread::yield();
+    }
+    rt.stop();
+
+    std::vector<TraceEvent> events;
+    rt.drain_trace(events);
+    ASSERT_EQ(rt.telemetry_snapshot().trace_dropped, 0u);
+
+    std::vector<Cycles> done(kJobs, 0), dispatched(kJobs, 0);
+    for (const runtime::Response &r : responses)
+        done[r.id] = r.done_cycles;
+    std::vector<int> finished(kJobs, 0), starts(kJobs, 0);
+    for (const TraceEvent &ev : events) {
+        ASSERT_LT(ev.job, kJobs);
+        if (ev.kind == EventKind::JobDispatched)
+            dispatched[ev.job] = ev.tsc;
+    }
+    for (const TraceEvent &ev : events) {
+        const uint64_t j = ev.job;
+        if (ev.kind == EventKind::JobFinished) {
+            ++finished[j];
+            EXPECT_EQ(ev.tsc, done[j])
+                << "job " << j << ": JobFinished and done_cycles come "
+                << "from one clock read";
+        } else if (ev.kind == EventKind::QuantumStart) {
+            ++starts[j];
+            EXPECT_GE(ev.tsc + kCrossCoreSlack, dispatched[j])
+                << "job " << j << " started before it was dispatched";
+            EXPECT_LE(ev.tsc, done[j])
+                << "job " << j << " started after it was done";
+        }
+    }
+    for (uint64_t j = 0; j < kJobs; ++j) {
+        EXPECT_EQ(finished[j], 1) << "job " << j;
+        EXPECT_GE(starts[j], 1) << "job " << j;
+        EXPECT_NE(dispatched[j], 0u) << "job " << j;
+    }
 }
 
 } // namespace
